@@ -1,7 +1,6 @@
 #include "sched/bot_state.hpp"
 
 #include <algorithm>
-#include <climits>
 
 #include "sched/dispatch_index.hpp"
 
@@ -10,7 +9,7 @@ namespace dg::sched {
 BotState::BotState(const workload::BotSpec& spec, TaskOrder order,
                    std::pmr::memory_resource* mem)
     : id_(spec.id), arrival_time_(spec.arrival_time), granularity_(spec.granularity),
-      order_(order), mem_(mem), tasks_(mem), unstarted_order_(mem), resubmission_queue_(mem),
+      order_(order), tasks_(mem), unstarted_order_(mem), resubmission_queue_(mem),
       requeue_(mem), buckets_(mem) {
   tasks_.reserve(spec.tasks.size());
   for (std::size_t i = 0; i < spec.tasks.size(); ++i) {
@@ -98,31 +97,44 @@ bool BotState::has_stale_queue_entries() const {
 }
 
 TaskState* BotState::least_replicated_below(int threshold) const {
-  for (const auto& [count, tasks] : buckets_) {
-    if (count >= threshold) break;
-    if (!tasks.empty()) return *tasks.begin();
-  }
-  return nullptr;
+  // The smallest occupied count is the first bucket a count-ordered walk
+  // would reach; its front is the bag-order first task.
+  if (min_count_ >= threshold) return nullptr;
+  return bucket(min_count_).front();
 }
 
 void BotState::bucket_insert(TaskState& task, int count) {
-  auto it = buckets_.find(count);
-  if (it == buckets_.end()) {
-    it = buckets_
-             .emplace(count, std::pmr::set<TaskState*, OrderedLess>(
-                                 OrderedLess{order_ == TaskOrder::kDescendingWork}, mem_))
-             .first;
+  DG_ASSERT(count >= 1);
+  if (buckets_.size() < static_cast<std::size_t>(count)) {
+    buckets_.resize(static_cast<std::size_t>(count));
   }
-  const bool inserted = it->second.insert(&task).second;
-  DG_ASSERT_MSG(inserted, "task already present in replica bucket");
+  Bucket& tasks = bucket(count);
+  const OrderedLess less{order_ == TaskOrder::kDescendingWork};
+  const auto it = std::lower_bound(tasks.begin(), tasks.end(), &task, less);
+  DG_ASSERT_MSG(it == tasks.end() || *it != &task, "task already present in replica bucket");
+  tasks.insert(it, &task);
+  ++bucketed_;
+  min_count_ = std::min(min_count_, count);
 }
 
 void BotState::bucket_erase(TaskState& task, int count) {
-  auto bucket = buckets_.find(count);
-  DG_ASSERT_MSG(bucket != buckets_.end(), "missing replica bucket");
-  const std::size_t erased = bucket->second.erase(&task);
-  DG_ASSERT_MSG(erased == 1, "task missing from replica bucket");
-  if (bucket->second.empty()) buckets_.erase(bucket);
+  DG_ASSERT_MSG(count >= 1 && static_cast<std::size_t>(count) <= buckets_.size(),
+                "missing replica bucket");
+  Bucket& tasks = bucket(count);
+  const OrderedLess less{order_ == TaskOrder::kDescendingWork};
+  const auto it = std::lower_bound(tasks.begin(), tasks.end(), &task, less);
+  DG_ASSERT_MSG(it != tasks.end() && *it == &task, "task missing from replica bucket");
+  tasks.erase(it);
+  --bucketed_;
+  if (count != min_count_ || !tasks.empty()) return;
+  if (bucketed_ == 0) {
+    min_count_ = std::numeric_limits<int>::max();
+    return;
+  }
+  // Some higher bucket is occupied: advance to it.
+  do {
+    ++min_count_;
+  } while (bucket(min_count_).empty());
 }
 
 void BotState::after_replica_started(TaskState& task) {
@@ -152,11 +164,13 @@ void BotState::on_task_completed(TaskState& task) {
   ++completed_count_;
   completed_work_ += task.work();
   DG_ASSERT(completed_count_ <= tasks_.size());
+  if (completed()) {
+    // Completed bags stay alive until the replication ends; hand the bucket
+    // storage back to the pool so later bags reuse it.
+    buckets_.clear();
+    buckets_.shrink_to_fit();
+  }
   refresh_dispatch_index();
-}
-
-int BotState::min_replicated_count() const noexcept {
-  return buckets_.empty() ? INT_MAX : buckets_.begin()->first;
 }
 
 void BotState::refresh_dispatch_index() {

@@ -6,16 +6,16 @@
 //   * a priority FIFO of failed tasks awaiting resubmission (WQR-FT),
 //   * a plain re-queue for fault re-execution without priority (WQR/WorkQueue),
 //   * replica-count buckets answering "least-replicated incomplete task below
-//     the replication threshold" in O(log) time.
+//     the replication threshold" in O(1) time: one sorted flat vector per
+//     count plus the cached smallest occupied count.
 // All structures are deterministic (ordered containers, stable tie-breaks).
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <limits>
 #include <memory>
 #include <memory_resource>
-#include <set>
 #include <vector>
 
 #include "sched/task_state.hpp"
@@ -25,6 +25,17 @@
 namespace dg::sched {
 
 class DispatchIndex;
+
+/// One bag's memberships in a DispatchIndex, cached on the BotState and
+/// kept by the index (see sched/dispatch_index.hpp); `registered` replaces
+/// a lookup of the bag in the index.
+struct IndexMembership {
+  bool registered = false;
+  bool dispatchable = false;
+  bool no_running = false;
+  bool stale = false;
+  bool operator==(const IndexMembership&) const = default;
+};
 
 /// Ordering used for the unstarted-task cursor and replication tie-breaks.
 enum class TaskOrder : std::uint8_t {
@@ -86,8 +97,8 @@ class BotState {
   [[nodiscard]] TaskState* least_replicated_below(int threshold) const;
 
   /// Smallest running-replica count among incomplete tasks with >= 1 replica,
-  /// or INT_MAX when no task is running. O(1): the bucket map's first key.
-  [[nodiscard]] int min_replicated_count() const noexcept;
+  /// or INT_MAX when no task is running. O(1): the cached minimum count.
+  [[nodiscard]] int min_replicated_count() const noexcept { return min_count_; }
 
   // --- bookkeeping driven by the scheduler ---
 
@@ -106,6 +117,11 @@ class BotState {
   /// sibling-replica stops of completed tasks bypass the policy hooks yet
   /// still change total_running(). nullptr detaches.
   void set_dispatch_index(DispatchIndex* index) noexcept { dispatch_index_ = index; }
+  /// This bag's cached memberships in the attached DispatchIndex (kept by
+  /// the index; all false while unregistered).
+  [[nodiscard]] const IndexMembership& index_membership() const noexcept {
+    return index_membership_;
+  }
 
   // --- bag-level status ---
 
@@ -151,6 +167,12 @@ class BotState {
     bool descending_work = false;
   };
 
+  using Bucket = std::pmr::vector<TaskState*>;
+
+  [[nodiscard]] Bucket& bucket(int count) { return buckets_[static_cast<std::size_t>(count - 1)]; }
+  [[nodiscard]] const Bucket& bucket(int count) const {
+    return buckets_[static_cast<std::size_t>(count - 1)];
+  }
   void bucket_insert(TaskState& task, int count);
   void bucket_erase(TaskState& task, int count);
 
@@ -159,8 +181,6 @@ class BotState {
   double granularity_;
   double total_work_ = 0.0;
   TaskOrder order_;
-  /// Allocator for every container below (see the constructor).
-  std::pmr::memory_resource* mem_;
   /// Task slab: reserved once at construction and never resized, so the
   /// TaskState* handed out everywhere stay stable.
   std::pmr::vector<TaskState> tasks_;
@@ -173,8 +193,14 @@ class BotState {
   mutable std::pmr::deque<TaskState*> resubmission_queue_;
   mutable std::pmr::deque<TaskState*> requeue_;
 
-  // running-replica-count -> candidate tasks (counts >= 1 only).
-  std::pmr::map<int, std::pmr::set<TaskState*, OrderedLess>> buckets_;
+  // buckets_[c - 1]: the incomplete tasks with exactly c >= 1 running
+  // replicas, sorted by OrderedLess. Grown on demand; a count's vector keeps
+  // its capacity until the bag completes, which releases them all.
+  std::pmr::vector<Bucket> buckets_;
+  /// Tasks held across all buckets.
+  std::size_t bucketed_ = 0;
+  /// Smallest count with a non-empty bucket, INT_MAX when all are empty.
+  int min_count_ = std::numeric_limits<int>::max();
 
   std::size_t completed_count_ = 0;
   double completed_work_ = 0.0;
@@ -185,6 +211,8 @@ class BotState {
 
   DispatchIndex* dispatch_index_ = nullptr;
   void refresh_dispatch_index();
+  friend class DispatchIndex;
+  IndexMembership index_membership_;
 
   // Intrusive links for ActiveBotList (owned by the scheduler).
   friend class ActiveBotList;

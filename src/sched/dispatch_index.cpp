@@ -15,43 +15,53 @@ bool DispatchIndex::is_dispatchable(const BotState& bot) const {
   return bot.has_pending() || (threshold_ > 1 && bot.min_replicated_count() < threshold_);
 }
 
+void DispatchIndex::update(BagSet& set, bool& bit, bool member, BotState& bot) {
+  if (bit == member) return;
+  bit = member;
+  if (member) {
+    set.emplace(bot.id(), &bot);
+  } else {
+    set.erase(bot.id());
+  }
+}
+
 void DispatchIndex::set_threshold(int threshold) {
   if (threshold == threshold_) return;
   threshold_ = threshold;
   if (stats_ != nullptr) ++stats_->index_rebuilds;
-  dispatchable_.clear();
   for (const auto& [id, bot] : bots_) {
-    if (is_dispatchable(*bot)) dispatchable_.emplace(id, bot);
+    update(dispatchable_, bot->index_membership_.dispatchable, is_dispatchable(*bot), *bot);
   }
 }
 
 void DispatchIndex::register_bot(BotState& bot) {
-  const bool inserted = bots_.emplace(bot.id(), &bot).second;
-  DG_ASSERT_MSG(inserted, "bot already registered in dispatch index");
+  DG_ASSERT_MSG(!bot.index_membership_.registered, "bot already registered in dispatch index");
+  bots_.emplace(bot.id(), &bot);
+  bot.index_membership_.registered = true;
   refresh(bot);
 }
 
 void DispatchIndex::unregister_bot(BotState& bot) {
-  const auto erased = bots_.erase(bot.id());
-  DG_ASSERT_MSG(erased == 1, "bot not registered in dispatch index");
+  DG_ASSERT_MSG(bot.index_membership_.registered, "bot not registered in dispatch index");
+  bots_.erase(bot.id());
   dispatchable_.erase(bot.id());
   no_running_.erase(bot.id());
   stale_.erase(bot.id());
+  bot.index_membership_ = IndexMembership{};
+}
+
+IndexMembership DispatchIndex::indexed(const BotState& bot) const {
+  return IndexMembership{bots_.contains(bot.id()), dispatchable_.contains(bot.id()),
+                         no_running_.contains(bot.id()), stale_.contains(bot.id())};
 }
 
 void DispatchIndex::refresh(BotState& bot) {
-  if (!bots_.contains(bot.id())) return;
+  IndexMembership& bits = bot.index_membership_;
+  if (!bits.registered) return;
   if (stats_ != nullptr) ++stats_->index_updates;
-  const auto update = [&](std::pmr::map<workload::BotId, BotState*>& set, bool member) {
-    if (member) {
-      set.emplace(bot.id(), &bot);
-    } else {
-      set.erase(bot.id());
-    }
-  };
-  update(dispatchable_, is_dispatchable(bot));
-  update(no_running_, bot.total_running() == 0);
-  update(stale_, bot.has_stale_queue_entries());
+  update(dispatchable_, bits.dispatchable, is_dispatchable(bot), bot);
+  update(no_running_, bits.no_running, bot.total_running() == 0, bot);
+  update(stale_, bits.stale, bot.has_stale_queue_entries(), bot);
 }
 
 BotState* DispatchIndex::first_dispatchable() const noexcept {
@@ -81,13 +91,18 @@ void DispatchIndex::probe_stale(BotState& bot, const IndividualScheduler& indivi
   DG_ASSERT_MSG(task == nullptr, "stale bag unexpectedly yielded a task");
 }
 
+DispatchIndex::BagSet::iterator DispatchIndex::drain(BagSet::iterator it,
+                                                     const IndividualScheduler& individual) {
+  BotState& bot = *it->second;
+  probe_stale(bot, individual);
+  bot.index_membership_.stale = false;
+  return stale_.erase(it);
+}
+
 void DispatchIndex::drain_stale_below(const IndividualScheduler& individual,
                                       workload::BotId limit) {
   auto it = stale_.begin();
-  while (it != stale_.end() && it->first < limit) {
-    probe_stale(*it->second, individual);
-    it = stale_.erase(it);
-  }
+  while (it != stale_.end() && it->first < limit) it = drain(it, individual);
 }
 
 void DispatchIndex::drain_stale_ring(const IndividualScheduler& individual, std::uint64_t after,
@@ -95,30 +110,21 @@ void DispatchIndex::drain_stale_ring(const IndividualScheduler& individual, std:
   if (static_cast<std::uint64_t>(until) > after) {
     // No wrap: the scan visited ids in (after, until).
     auto it = stale_.upper_bound(static_cast<workload::BotId>(after));
-    while (it != stale_.end() && it->first < until) {
-      probe_stale(*it->second, individual);
-      it = stale_.erase(it);
-    }
+    while (it != stale_.end() && it->first < until) it = drain(it, individual);
     return;
   }
   // Wrapped scan: ids > after, then ids < until from the front.
   if (after < std::numeric_limits<workload::BotId>::max()) {
     auto it = stale_.upper_bound(static_cast<workload::BotId>(after));
-    while (it != stale_.end()) {
-      probe_stale(*it->second, individual);
-      it = stale_.erase(it);
-    }
+    while (it != stale_.end()) it = drain(it, individual);
   }
   auto it = stale_.begin();
-  while (it != stale_.end() && it->first < until) {
-    probe_stale(*it->second, individual);
-    it = stale_.erase(it);
-  }
+  while (it != stale_.end() && it->first < until) it = drain(it, individual);
 }
 
 void DispatchIndex::drain_stale_all(const IndividualScheduler& individual) {
-  for (auto& [id, bot] : stale_) probe_stale(*bot, individual);
-  stale_.clear();
+  auto it = stale_.begin();
+  while (it != stale_.end()) it = drain(it, individual);
 }
 
 }  // namespace dg::sched

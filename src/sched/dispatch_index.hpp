@@ -19,9 +19,12 @@
 // BotState calls refresh() from its own mutators (replica start/stop, task
 // completion, pool pushes), so the index is current by the time a policy
 // runs — including after sibling-replica stops of completed tasks, which
-// never reach the policy observer hooks. The threshold is pushed in by the
-// scheduler at the top of each trigger; a change rebuilds dispatchable_ in
-// O(B log B) (rare: only dynamic-replication runs ever change it).
+// never reach the policy observer hooks. Each bag carries its membership
+// bits (IndexMembership, on the BotState): refresh() recomputes them and
+// touches an ordered set only when a bit flips, so the common refresh —
+// nothing changed — costs no set operation. The threshold is pushed in by
+// the scheduler at the top of each trigger; a change re-evaluates every
+// bag's dispatchable bit (rare: only dynamic-replication runs change it).
 //
 // Stale bags and the drain_stale_* calls: the per-bag resubmission queues
 // are pruned lazily — a probe (IndividualScheduler::pick) pops invalid
@@ -37,18 +40,19 @@
 // every pop is paid for by an earlier push.
 //
 // All sets are std::map<BotId, BotState*> so iteration order is bag-arrival
-// order — the determinism contract shared with ActiveBotList.
+// order — the determinism contract shared with ActiveBotList. The drain and
+// rebuild paths flip the bits along with the sets they edit.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory_resource>
 
+#include "sched/bot_state.hpp"
 #include "workload/bot.hpp"
 
 namespace dg::sched {
 
-class BotState;
 class IndividualScheduler;
 struct SchedStats;
 
@@ -73,6 +77,11 @@ class DispatchIndex {
   void register_bot(BotState& bot);
   /// Stops tracking `bot` (call at bag completion).
   void unregister_bot(BotState& bot);
+
+  /// `bot`'s presence in each ordered set, looked up in the sets themselves
+  /// (O(log B)). Equals bot.index_membership() whenever the index is
+  /// consistent; for tests and audits.
+  [[nodiscard]] IndexMembership indexed(const BotState& bot) const;
 
   /// Recomputes `bot`'s memberships from its current state. No-op for
   /// unregistered bags (BotState mutators may still fire during the
@@ -103,13 +112,19 @@ class DispatchIndex {
   void drain_stale_all(const IndividualScheduler& individual);
 
  private:
-  [[nodiscard]] bool is_dispatchable(const BotState& bot) const;
-  void probe_stale(BotState& bot, const IndividualScheduler& individual);
+  using BagSet = std::pmr::map<workload::BotId, BotState*>;
 
-  std::pmr::map<workload::BotId, BotState*> bots_;          // registered bags
-  std::pmr::map<workload::BotId, BotState*> dispatchable_;  // can accept a machine
-  std::pmr::map<workload::BotId, BotState*> no_running_;    // total_running() == 0
-  std::pmr::map<workload::BotId, BotState*> stale_;         // has_stale_queue_entries()
+  [[nodiscard]] bool is_dispatchable(const BotState& bot) const;
+  /// Sets one membership bit of `bot` and mirrors a flip into `set`.
+  static void update(BagSet& set, bool& bit, bool member, BotState& bot);
+  void probe_stale(BotState& bot, const IndividualScheduler& individual);
+  /// Probes the stale bag at `it` and removes it from stale_.
+  BagSet::iterator drain(BagSet::iterator it, const IndividualScheduler& individual);
+
+  BagSet bots_;          // registered bags (walked by the threshold rebuild)
+  BagSet dispatchable_;  // can accept a machine
+  BagSet no_running_;    // total_running() == 0
+  BagSet stale_;         // has_stale_queue_entries()
   int threshold_ = 0;
   SchedStats* stats_ = nullptr;
 };

@@ -202,21 +202,21 @@ TaskState* LongIdlePolicy::select(SchedulerContext& ctx) {
   // so the pick_from calls prune the per-bag pools identically — LongIdle
   // needs none of the dispatch index's stale-drain machinery (and never
   // touches ctx.bots / ctx.index; bags_ is its own active-bag view).
-  std::vector<std::pair<double, BotState*>> ranked;
-  ranked.reserve(bags_.size());
+  ranked_.clear();
   for (auto& [id, index] : bags_) {
-    ranked.emplace_back(bag_priority(index, ctx.now), index.bot);
+    ranked_.push_back(Ranked{bag_priority(index, ctx.now), id, index.bot});
   }
-  // bags_ iterates in increasing id = arrival order, so stable_sort keeps
-  // equal priorities in arrival order — the historical tie-break.
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [priority, bot] : ranked) {
-    if (TaskState* task = ctx.pick_from(*bot)) return task;
+  // Priority descending, then bag id ascending: the order a stable sort by
+  // priority alone gives over bags_'s id order, without its temporary buffer.
+  std::sort(ranked_.begin(), ranked_.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    return a.id < b.id;
+  });
+  for (const Ranked& entry : ranked_) {
+    if (TaskState* task = ctx.pick_from(*entry.bot)) return task;
   }
   return nullptr;
 }
-
 
 // --- PF-RR (hybrid extension) ---
 

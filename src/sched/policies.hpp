@@ -65,26 +65,25 @@ class RoundRobinNrfPolicy final : public RoundRobinPolicy {
 };
 
 /// LongIdle: prefer the bag hosting the task with the largest accumulated
-/// waiting time (total time with zero running replicas). Maintains two lazy
-/// *global* max-heaps over all bags, so selection is O(log) amortized
-/// instead of a per-select sweep + sort over every active bag:
+/// waiting time (total time with zero running replicas). Each bag keeps two
+/// lazy max-heaps over its incomplete tasks, so a bag's priority costs
+/// amortized O(1) per select instead of a sweep over its tasks:
 ///   * never-started tasks all share the key -arrival_time (one sentinel
 ///     entry per bag covers them);
 ///   * an idle task's waiting time is frozen_idle + (now - idle_since); the
 ///     now-independent key frozen_idle - idle_since is stable while idle;
 ///   * a running task's waiting time is its frozen_idle, stable while it
 ///     runs.
-/// The bag with the largest waiting time is the bag of the largest valid
-/// entry across the two heaps; ties resolve to the older bag (smaller bag
-/// id, equal to arrival order). Stale entries are discarded on inspection
-/// (keys strictly decrease across idle periods, so for any task the stale
-/// entries surface before the live one); entries of completed bags are
-/// recognized by id against `registered_` before any pointer is touched.
+/// select() ranks the active bags by priority, ties to the older bag
+/// (smaller bag id, equal to arrival order), and probes them in that order.
+/// Stale heap entries are discarded on inspection (keys strictly decrease
+/// across idle periods, so for any task the stale entries surface before
+/// the live one).
 class LongIdlePolicy final : public BagSelectionPolicy {
  public:
   /// Per-bag index nodes and heap storage allocate from `mem`.
   explicit LongIdlePolicy(std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : bags_(mem) {}
+      : bags_(mem), ranked_(mem) {}
   [[nodiscard]] std::string name() const override { return "LongIdle"; }
   [[nodiscard]] TaskState* select(SchedulerContext& ctx) override;
   void on_bot_arrival(BotState& bot, double now) override;
@@ -137,6 +136,15 @@ class LongIdlePolicy final : public BagSelectionPolicy {
   /// assigned in arrival order), which select's tie-break depends on. The
   /// policy never consults ctx.bots / ctx.index — this map is authoritative.
   std::pmr::map<workload::BotId, BagIndex> bags_;
+
+  struct Ranked {
+    double priority;
+    workload::BotId id;
+    BotState* bot;
+  };
+  /// select()'s ranking buffer, kept across calls so a select allocates
+  /// nothing once it has seen the largest active-bag count.
+  std::pmr::vector<Ranked> ranked_;
 };
 
 /// PendingFirst (PF-RR): our answer to the paper's closing question — a

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "util/assert.hpp"
 #include "workload/bot.hpp"
@@ -92,9 +93,22 @@ class TaskState {
   /// Start of the current idle period (meaningful only while idle).
   [[nodiscard]] double idle_since() const noexcept { return idle_since_; }
 
+  // --- running-replica list (engine-owned) ---
+
+  /// Marks the end of the replica list (no machine).
+  static constexpr std::uint32_t kNoReplica = std::numeric_limits<std::uint32_t>::max();
+  /// Machine id of the first slot in the intrusive list of this task's
+  /// running replicas, or kNoReplica. The execution engine links the slots
+  /// in ascending machine-id order, so completion stops exactly the
+  /// siblings without scanning the grid.
+  [[nodiscard]] std::uint32_t first_replica() const noexcept { return first_replica_; }
+  /// The list head itself, for the engine's link/unlink walk.
+  [[nodiscard]] std::uint32_t& replica_list_head() noexcept { return first_replica_; }
+
  private:
   BotState* bot_;
   workload::TaskIndex index_;
+  std::uint32_t first_replica_ = kNoReplica;
   double work_;
   double checkpointed_work_ = 0.0;
   int running_ = 0;

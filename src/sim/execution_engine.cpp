@@ -78,6 +78,9 @@ void ExecutionEngine::start_replica(sched::TaskState& task, grid::Machine& machi
   ref.task = &task;
   ref.machine = &machine;
   ref.progress_base = config_.checkpointing ? task.checkpointed_work() : 0.0;
+  grid::MachineId* link = replica_link(task, machine.id());
+  ref.next = *link;
+  *link = machine.id();
 
   if (config_.checkpointing && ref.progress_base > 0.0) {
     // Restart: fetch the latest checkpoint from the server first.
@@ -286,9 +289,21 @@ void ExecutionEngine::on_checkpoint_end(grid::MachineId machine_id) {
   begin_compute(*replica);
 }
 
+grid::MachineId* ExecutionEngine::replica_link(sched::TaskState& task,
+                                               grid::MachineId machine_id) {
+  grid::MachineId* link = &task.replica_list_head();
+  while (*link != sched::TaskState::kNoReplica && *link < machine_id) {
+    link = &replicas_[*link].next;
+  }
+  return link;
+}
+
 ExecutionEngine::Replica ExecutionEngine::detach_replica(grid::MachineId machine_id) {
   Replica replica = replicas_[machine_id];
   DG_ASSERT(replica.task != nullptr);
+  grid::MachineId* link = replica_link(*replica.task, machine_id);
+  DG_ASSERT_MSG(*link == machine_id, "replica missing from its task's replica list");
+  *link = replica.next;
   replicas_[machine_id] = Replica{};
   set_machine_busy(*replica.machine, false);
   return replica;
@@ -307,10 +322,15 @@ void ExecutionEngine::on_complete(grid::MachineId machine_id) {
     observer->on_task_completed(task, sim_.now());
   }
 
-  // Stop the winner and every sibling replica (freeing their machines).
-  for (grid::MachineId id = 0; id < replicas_.size(); ++id) {
-    Replica* candidate = replica_at(id);
-    if (candidate == nullptr || candidate->task != &task) continue;
+  // Stop the winner and every sibling replica (freeing their machines) in
+  // the task's replica-list order, ascending machine id: each stop detaches
+  // the list head.
+  const int running = task.running_replicas();
+  int listed = 0;
+  for (grid::MachineId id = task.first_replica(); id != sched::TaskState::kNoReplica;
+       id = task.first_replica()) {
+    Replica* candidate = &replicas_[id];
+    ++listed;
     const bool is_winner = candidate == winner;
     if (!is_winner) {
       candidate->next_event.cancel();
@@ -334,6 +354,7 @@ void ExecutionEngine::on_complete(grid::MachineId machine_id) {
           is_winner ? ReplicaStopKind::kCompleted : ReplicaStopKind::kCancelled, sim_.now());
     }
   }
+  DG_ASSERT_MSG(listed == running, "replica list length differs from the running count");
   DG_ASSERT(task.running_replicas() == 0);
   scheduler_.trigger();
 }

@@ -21,7 +21,8 @@
 //   start:      machine.set_busy -> task.on_replica_started
 //               -> scheduler.notify_replica_started
 //   completion: task.mark_completed -> scheduler.notify_task_completed
-//               -> per replica (winner + siblings): free machine,
+//               -> per replica (winner + siblings, ascending machine id):
+//                  free machine,
 //                  task.on_replica_stopped, scheduler.notify_replica_stopped
 //               -> scheduler.trigger
 //   failure:    free machine -> task.on_replica_stopped
@@ -131,11 +132,15 @@ class ExecutionEngine final : public sched::DispatchSink {
 
   /// One machine's replica slot. Slots live by value in `replicas_` (one per
   /// machine id); `task == nullptr` marks an idle machine — no per-dispatch
-  /// heap allocation.
+  /// heap allocation. The slots of one task's running replicas form a
+  /// singly linked list in ascending machine-id order, headed at
+  /// TaskState::first_replica() and chained through `next`.
   struct Replica {
     sched::TaskState* task = nullptr;
     grid::Machine* machine = nullptr;
     Phase phase = Phase::kComputing;
+    /// Next slot of the same task's replica list (kNoReplica ends it).
+    grid::MachineId next = sched::TaskState::kNoReplica;
     /// Work completed by this replica up to the start of the current leg.
     double progress_base = 0.0;
     /// Simulation time the current compute leg started (kComputing only).
@@ -163,8 +168,15 @@ class ExecutionEngine final : public sched::DispatchSink {
   void on_checkpoint_end(grid::MachineId machine_id);
   void on_retrieve_done(grid::MachineId machine_id);
   void on_complete(grid::MachineId machine_id);
-  /// Frees the machine and clears the replica slot (event must already be
-  /// cancelled / expired). Returns the detached record by value.
+  /// The link in `task`'s replica list (its head or a slot's `next`) that
+  /// holds the first id >= `machine_id`, or the end: where start_replica
+  /// links a slot, keeping ascending machine-id order, and where
+  /// detach_replica unlinks it. O(R) in the task's running replicas.
+  [[nodiscard]] grid::MachineId* replica_link(sched::TaskState& task,
+                                              grid::MachineId machine_id);
+  /// Frees the machine, unlinks the slot from its task's replica list and
+  /// clears it (event must already be cancelled / expired). Returns the
+  /// detached record by value.
   Replica detach_replica(grid::MachineId machine_id);
   void set_machine_busy(grid::Machine& machine, bool busy);
 

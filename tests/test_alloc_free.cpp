@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "sim/simulation.hpp"
 #include "sim/workspace.hpp"
@@ -85,6 +86,33 @@ TEST(AllocationFree, WorldCacheReplayRunLoopIsAllocationFreeToo) {
   EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
   EXPECT_EQ(config.world_cache->stats().hits, 1u);
 }
+
+// Every paper policy's select and bookkeeping runs inside the loop, so the
+// guarantee must hold for all five, with and without machine failures.
+class PaperPolicyAllocationFree : public ::testing::TestWithParam<sched::PolicyKind> {};
+
+TEST_P(PaperPolicyAllocationFree, WarmedWorkspaceRunLoopMakesZeroHeapAllocations) {
+  for (const grid::AvailabilityLevel level :
+       {grid::AvailabilityLevel::kAlways, grid::AvailabilityLevel::kHigh}) {
+    SimulationConfig config = metered_config(level);
+    config.policy = GetParam();
+    SimulationWorkspace workspace;
+    (void)run_loop_allocs(config, workspace);  // warm
+    EXPECT_EQ(run_loop_allocs(config, workspace), 0u)
+        << sched::to_string(GetParam()) << " at availability level "
+        << static_cast<int>(level);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperPolicies, PaperPolicyAllocationFree,
+                         ::testing::ValuesIn(sched::paper_policies()),
+                         [](const ::testing::TestParamInfo<sched::PolicyKind>& param) {
+                           std::string name = sched::to_string(param.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 TEST(AllocationFree, InterposerActuallyCounts) {
   const std::uint64_t before = util::alloc_count().load(std::memory_order_relaxed);

@@ -5,7 +5,10 @@
 // queue pruning (see sched/dispatch_index.hpp).
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "sched/bot_state.hpp"
@@ -183,6 +186,98 @@ TEST_F(DispatchIndexTest, DrainReplaysThePositionalScansQueuePruning) {
   // Unpruned queue: the original entries revalidated, preserving the
   // first-failure order — task 0 is still at the front.
   EXPECT_EQ(kept.peek_resubmission(), &kept.task(0));
+}
+
+TEST_F(DispatchIndexTest, RandomizedMembershipsMatchRecomputation) {
+  // Random task transitions, threshold changes, stale drains (called the way
+  // the policies call them) and completion teardowns. After each, every
+  // bag's cached bits and its presence in the ordered sets must equal the
+  // memberships recomputed from the bag's state.
+  const auto individual = IndividualScheduler::make(IndividualSchedulerKind::kWqrFt);
+  std::mt19937_64 rng(7);
+  const int thresholds[] = {1, 2, 3, INT_MAX / 2};
+  index_.set_threshold(2);
+  // Completed bags are replaced by fresh arrivals, keeping six active.
+  std::vector<BotState*> active;
+  const auto arrive = [&] {
+    active.push_back(&add_bot(std::vector<double>(1 + rng() % 5, 10.0)));
+  };
+  for (int b = 0; b < 6; ++b) arrive();
+  const auto check = [&](int step) {
+    for (const auto& bot : bots_) {
+      IndexMembership expected;
+      expected.registered = !bot->completed();  // only completed bags leave
+      if (expected.registered) {
+        const int threshold = index_.threshold();
+        expected.dispatchable = bot->has_pending() ||
+                                (threshold > 1 && bot->min_replicated_count() < threshold);
+        expected.no_running = bot->total_running() == 0;
+        expected.stale = bot->has_stale_queue_entries();
+      }
+      EXPECT_EQ(bot->index_membership(), expected) << "bag " << bot->id() << " step " << step;
+      EXPECT_EQ(index_.indexed(*bot), expected) << "bag " << bot->id() << " step " << step;
+    }
+  };
+  double now = 0.0;
+  std::uint64_t cursor = ~0ULL;
+  int stale_steps = 0;
+  for (int step = 0; step < 3000; ++step) {
+    now += 1.0;
+    const unsigned dice = static_cast<unsigned>(rng() % 100);
+    BotState& bot = *active[rng() % active.size()];
+    TaskState& task = bot.task(rng() % bot.num_tasks());
+    if (dice < 5) {
+      index_.set_threshold(thresholds[rng() % std::size(thresholds)]);
+    } else if (dice < 15) {
+      // FCFS-Share: drain the stale bags ahead of the first dispatchable one.
+      if (BotState* first = index_.first_dispatchable()) {
+        index_.drain_stale_below(*individual, first->id());
+      } else {
+        index_.drain_stale_all(*individual);
+      }
+    } else if (dice < 25) {
+      // RR: drain the stale bags the ring scan passes from the cursor.
+      if (BotState* next = index_.next_dispatchable_after(cursor)) {
+        index_.drain_stale_ring(*individual, cursor, next->id());
+        cursor = next->id();
+      } else {
+        index_.drain_stale_all(*individual);
+      }
+    } else if (task.completed()) {
+      continue;
+    } else if (dice < 60 || task.running_replicas() == 0) {
+      start_replica(task, now);
+    } else if (dice < 85) {
+      fail_replica(task, now);
+    } else {
+      // Completion in the scheduler's order: the bag leaves the index before
+      // the sibling stops, which must not re-enter it. Half the time the bag
+      // keeps its index pointer through the stops (refresh must ignore it).
+      const int count = task.running_replicas();
+      task.mark_completed(now);
+      bot.on_task_completed(task);
+      const bool detach_first = rng() % 2 == 0;
+      if (bot.completed()) {
+        index_.unregister_bot(bot);
+        if (detach_first) bot.set_dispatch_index(nullptr);
+      }
+      for (int r = 0; r < count; ++r) {
+        task.on_replica_stopped(now);
+        bot.after_replica_stopped(task);
+      }
+      if (bot.completed()) {
+        bot.set_dispatch_index(nullptr);
+        std::erase(active, &bot);
+        arrive();
+      }
+    }
+    check(step);
+    if (::testing::Test::HasFailure()) return;
+    for (const BotState* live : active) stale_steps += live->index_membership().stale ? 1 : 0;
+  }
+  // The sequence reached the paths under test.
+  EXPECT_GT(stale_steps, 100);
+  EXPECT_GT(bots_.size(), 50u);
 }
 
 }  // namespace

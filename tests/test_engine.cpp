@@ -2,6 +2,9 @@
 // sibling cancellation — on a tiny deterministic grid.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim_test_util.hpp"
 
 namespace dg::test {
@@ -55,6 +58,42 @@ TEST(Engine, WinnerCancelsSiblingsAndFreesMachines) {
   EXPECT_EQ(world.busy_machines(), 0);
   EXPECT_EQ(world.engine->replicas_cancelled(), 1u);
   EXPECT_EQ(bot.task(0).running_replicas(), 0);
+}
+
+TEST(Engine, CompletionStopsSiblingsInAscendingMachineOrder) {
+  // FCFS-Excl replicates the bag's only task onto all six machines. Failures
+  // and repairs then re-link replicas 3 and 0 out of start order; the
+  // completion must still stop every replica, and tell the observers, in
+  // ascending machine-id order.
+  struct StopRecorder final : sim::SimulationObserver {
+    void on_replica_stopped(const sched::TaskState& /*task*/, const grid::Machine& machine,
+                            sim::ReplicaStopKind kind, double /*now*/) override {
+      if (kind != sim::ReplicaStopKind::kFailed) stops.emplace_back(machine.id(), kind);
+    }
+    std::vector<std::pair<grid::MachineId, sim::ReplicaStopKind>> stops;
+  };
+  WorldOptions options;
+  options.num_machines = 6;
+  options.policy = sched::PolicyKind::kFcfsExcl;
+  World world(options);
+  StopRecorder recorder;
+  world.engine->add_observer(recorder);
+  sched::BotState& bot = world.add_bot({100.0});
+  world.fail_machine_at(0, 2.0);
+  world.fail_machine_at(3, 2.0);
+  world.repair_machine_at(3, 3.0);
+  world.repair_machine_at(0, 4.0);
+  world.sim.run();
+  ASSERT_TRUE(bot.completed());
+  EXPECT_DOUBLE_EQ(bot.completion_time(), 10.0);
+  using Kind = sim::ReplicaStopKind;
+  // Machine 1 holds the oldest surviving replica, so its completion fires
+  // first among the replicas started at t = 0.
+  const std::vector<std::pair<grid::MachineId, Kind>> expected = {
+      {0, Kind::kCancelled}, {1, Kind::kCompleted}, {2, Kind::kCancelled},
+      {3, Kind::kCancelled}, {4, Kind::kCancelled}, {5, Kind::kCancelled}};
+  EXPECT_EQ(recorder.stops, expected);
+  EXPECT_EQ(world.busy_machines(), 0);
 }
 
 TEST(Engine, TaskCompletesExactlyOnce) {

@@ -2,6 +2,13 @@
 // structures (queues, cursors, replica buckets).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <random>
+#include <set>
+#include <tuple>
+#include <vector>
+
 #include "sched/bot_state.hpp"
 #include "sched/task_state.hpp"
 #include "workload/bot.hpp"
@@ -226,6 +233,78 @@ TEST(BotState, RequeueServedAfterValidation) {
   bot.after_replica_started(bot.task(1));
   EXPECT_EQ(bot.peek_requeued(), nullptr);
 }
+
+// Randomized model check of the replica buckets: random start / failure /
+// completion sequences (in the engine's call order) against a std::set
+// reference ordered by (count, bag order). least_replicated_below(t) is the
+// reference's first entry when its count is below t.
+class BucketModel : public ::testing::TestWithParam<TaskOrder> {};
+
+TEST_P(BucketModel, LeastReplicatedMatchesOrderedSetReference) {
+  const TaskOrder order = GetParam();
+  // (count, work key, index): the key is -work under kDescendingWork, so
+  // tied works fall back to index order as in the bag's own ordering.
+  using Key = std::tuple<int, double, workload::TaskIndex>;
+  const auto key_of = [order](const TaskState& task, int count) {
+    const double work = order == TaskOrder::kDescendingWork ? -task.work() : 0.0;
+    return Key{count, work, task.index()};
+  };
+  std::mt19937_64 rng(20080414);
+  int max_count = 0;
+  for (int round = 0; round < 40; ++round) {
+    // Few distinct works, so the work order has ties to break.
+    std::vector<double> works;
+    const std::size_t n = 3 + rng() % 10;
+    for (std::size_t i = 0; i < n; ++i) works.push_back(10.0 * static_cast<double>(1 + rng() % 3));
+    BotState bot(make_spec(works), order);
+    std::set<Key> reference;
+    double now = 0.0;
+    for (int step = 0; step < 400 && !bot.completed(); ++step) {
+      now += 1.0;
+      TaskState& task = bot.task(rng() % n);
+      if (task.completed()) continue;
+      const int count = task.running_replicas();
+      const unsigned dice = static_cast<unsigned>(rng() % 100);
+      if (dice < 60 || count == 0) {  // start a replica
+        if (count > 0) reference.erase(key_of(task, count));
+        task.on_replica_started(now);
+        bot.after_replica_started(task);
+        reference.insert(key_of(task, count + 1));
+        max_count = std::max(max_count, count + 1);
+      } else if (dice < 88) {  // one replica fails
+        reference.erase(key_of(task, count));
+        task.on_replica_stopped(now);
+        bot.after_replica_stopped(task);
+        if (count > 1) reference.insert(key_of(task, count - 1));
+      } else {  // a replica wins: completion, then every replica stops
+        reference.erase(key_of(task, count));
+        task.mark_completed(now);
+        bot.on_task_completed(task);
+        for (int r = 0; r < count; ++r) {
+          task.on_replica_stopped(now);
+          bot.after_replica_stopped(task);
+        }
+      }
+      const int min_count = reference.empty() ? INT_MAX : std::get<0>(*reference.begin());
+      ASSERT_EQ(bot.min_replicated_count(), min_count) << "round " << round << " step " << step;
+      for (int threshold = 1; threshold <= max_count + 2; ++threshold) {
+        const TaskState* expected = nullptr;
+        if (min_count < threshold) expected = &bot.task(std::get<2>(*reference.begin()));
+        ASSERT_EQ(bot.least_replicated_below(threshold), expected)
+            << "round " << round << " step " << step << " threshold " << threshold;
+      }
+    }
+  }
+  // Counts went past 2, as FCFS-Excl's unbounded threshold allows.
+  EXPECT_GT(max_count, 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(TaskOrders, BucketModel,
+                         ::testing::Values(TaskOrder::kArrival, TaskOrder::kDescendingWork),
+                         [](const ::testing::TestParamInfo<TaskOrder>& param) {
+                           return param.param == TaskOrder::kArrival ? "Arrival"
+                                                                     : "DescendingWork";
+                         });
 
 }  // namespace
 }  // namespace dg::sched
