@@ -2,6 +2,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "des/queue_policy.hpp"
@@ -34,9 +35,9 @@ void BM_EventChain(benchmark::State& state) {
     dg::des::Simulator sim;
     std::uint64_t count = 0;
     std::function<void()> chain = [&] {
-      if (++count < 100000) sim.schedule_after(1.0, chain);
+      if (++count < 100000) sim.schedule_after(1.0, [&chain] { chain(); });
     };
-    sim.schedule_after(1.0, chain);
+    sim.schedule_after(1.0, [&chain] { chain(); });
     sim.run();
     benchmark::DoNotOptimize(count);
   }
@@ -118,18 +119,22 @@ void BM_QueueHold(benchmark::State& state) {
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return static_cast<double>((z ^ (z >> 31)) % 100000) / 10.0;
   };
+  auto entry_at = [](double time, std::uint64_t seq) {
+    return dg::des::QueueEntry::make(
+        time, seq, static_cast<std::uint32_t>(seq & dg::des::QueueEntry::kMaxSlot));
+  };
   Q queue;
   std::uint64_t seq = 0;
   double now = 0.0;
   for (std::size_t i = 0; i < depth; ++i) {
-    queue.push(dg::des::QueueEntry{now + next_offset(), seq, static_cast<std::uint32_t>(seq), 0});
+    queue.push(entry_at(now + next_offset(), seq));
     ++seq;
   }
   for (auto _ : state) {
     const dg::des::QueueEntry& top = queue.top();
-    now = top.time;
+    now = top.time();
     queue.pop();
-    queue.push(dg::des::QueueEntry{now + next_offset(), seq, static_cast<std::uint32_t>(seq), 0});
+    queue.push(entry_at(now + next_offset(), seq));
     ++seq;
   }
   benchmark::DoNotOptimize(queue.size());

@@ -73,9 +73,9 @@ std::uint64_t kernel_event_chain(std::uint64_t n) {
   dg::des::Simulator sim;
   std::uint64_t count = 0;
   std::function<void()> chain = [&] {
-    if (++count < n) sim.schedule_after(1.0, chain);
+    if (++count < n) sim.schedule_after(1.0, [&chain] { chain(); });
   };
-  sim.schedule_after(1.0, chain);
+  sim.schedule_after(1.0, [&chain] { chain(); });
   sim.run();
   return count;
 }
@@ -131,9 +131,9 @@ std::uint64_t kernel_deep_hold(dg::des::QueueBackend backend, std::size_t depth,
     return static_cast<double>((z ^ (z >> 31)) % 100000) / 10.0 + 0.1;
   };
   std::function<void()> hold = [&] {
-    if (++count < rescheduling) sim.schedule_after(next_delay(), hold);
+    if (++count < rescheduling) sim.schedule_after(next_delay(), [&hold] { hold(); });
   };
-  for (std::size_t i = 0; i < depth; ++i) sim.schedule_after(next_delay(), hold);
+  for (std::size_t i = 0; i < depth; ++i) sim.schedule_after(next_delay(), [&hold] { hold(); });
   sim.run();
   return count;
 }

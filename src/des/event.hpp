@@ -1,21 +1,31 @@
-// Event storage and cancellable handles for the DES kernel.
+// Event storage, actions and cancellable handles for the DES kernel.
 //
 // Events live in a slab arena (detail::EventArena): a grow-only pool of
 // recycled EventSlot records addressed by dense 32-bit index. Scheduling an
 // event acquires a slot from the free list (no heap allocation once the
 // arena has warmed up to the run's peak); firing or cancelling retires the
-// slot back to the free list and bumps its generation counter, which
-// invalidates every outstanding EventHandle in O(1) — no tombstone scans,
-// no per-event shared_ptr control blocks.
+// slot back to the free list, which stales its queue entry and every
+// outstanding EventHandle in O(1) — no tombstone scans, no per-event
+// control blocks.
 //
-// Handles are (slot, generation) pairs plus a weak reference to the arena,
-// so they stay safe (and report not-pending) after the simulator that issued
-// them is destroyed.
+// An event's action is a des::Action: a function pointer plus a small inline
+// buffer holding a trivially copyable callable (typically a lambda capturing
+// `this` and an id). Arming, firing and cancelling an event therefore copy
+// a few words and never allocate, destroy or reference-count anything.
+//
+// Handles are (slot, generation) pairs plus a pointer to a liveness record
+// shared with the issuing Simulator, so they stay safe (and report
+// not-pending) after that simulator is destroyed. The record's reference
+// count is a plain integer: the kernel is single-threaded by contract.
 #pragma once
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -37,18 +47,77 @@ struct KernelStats {
   std::uint64_t arena_capacity = 0;    ///< Total event slots across all slabs.
 };
 
+/// The callable an event runs: a trivially copyable inline closure.
+///
+/// Any callable invocable as `f()` converts implicitly, provided it fits in
+/// kCapacity bytes, needs no more than pointer alignment and is trivially
+/// copyable — a lambda capturing pointers, references and scalars, which is
+/// every action the simulator schedules. Larger or owning state (a
+/// std::function, a container) does not compile: capture a reference to it
+/// instead. Copying an Action copies its bytes; there is nothing to destroy.
+class Action {
+ public:
+  static constexpr std::size_t kCapacity = 24;
+
+  /// An empty action; invoking it is undefined (Simulator rejects it).
+  Action() = default;
+
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, Action> &&
+             std::invocable<std::remove_cvref_t<F>&>)
+  Action(F&& fn) noexcept {  // NOLINT(google-explicit-constructor): lambdas convert
+    emplace(std::forward<F>(fn));
+  }
+
+  /// Stores `fn` in place of the current callable. The arena arms its slots
+  /// through this, so a closure is written straight into the slot rather
+  /// than built in a temporary and copied.
+  template <typename F>
+    requires std::invocable<std::remove_cvref_t<F>&>
+  void emplace(F&& fn) noexcept {
+    using Fn = std::remove_cvref_t<F>;
+    if constexpr (std::same_as<Fn, Action>) {
+      *this = fn;
+    } else {
+      static_assert(sizeof(Fn) <= kCapacity,
+                    "des::Action: the callable is too large; capture a pointer or reference");
+      static_assert(alignof(Fn) <= alignof(void*), "des::Action: the callable is over-aligned");
+      static_assert(std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>,
+                    "des::Action: the callable must be trivially copyable; capture owning "
+                    "state (std::function, containers) by reference");
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+      invoke_ = [](void* storage) { (*std::launder(static_cast<Fn*>(storage)))(); };
+    }
+  }
+
+  void operator()() { invoke_(storage_); }
+  [[nodiscard]] explicit operator bool() const noexcept { return invoke_ != nullptr; }
+
+ private:
+  void (*invoke_)(void*) = nullptr;
+  alignas(void*) unsigned char storage_[kCapacity]{};
+};
+
+static_assert(sizeof(Action) == sizeof(void*) + Action::kCapacity);
+static_assert(std::is_trivially_copyable_v<Action>);
+
 namespace detail {
 
 inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
+/// EventSlot::sequence of a slot with no armed event; larger than any
+/// sequence a queue entry can carry, so it never matches one.
+inline constexpr std::uint64_t kNoSequence = ~std::uint64_t{0};
 
-/// One recyclable event record. `generation` is bumped every time the slot
-/// is retired (fired or cancelled); a handle or heap entry holding an older
-/// generation is stale. Per-slot wrap-around needs 2^32 retirements of the
-/// *same* slot — unreachable in practice (the heap's sequence counter, which
-/// bounds total events, is 64-bit).
+/// One recyclable event record. While armed, `sequence` is the scheduling
+/// sequence number of the event it holds — the queue entry carrying the
+/// same (slot, sequence) is the live one, any other is stale. `generation`
+/// is bumped every time the slot is retired (fired, cancelled or reset); a
+/// handle holding an older generation is stale. Per-slot wrap-around needs
+/// 2^32 retirements of the *same* slot — unreachable in practice.
 struct EventSlot {
-  std::function<void()> action;
+  Action action;
   SimTime time = 0.0;
+  std::uint64_t sequence = kNoSequence;
   std::uint32_t generation = 0;
   std::uint32_t next_free = kInvalidSlot;
 };
@@ -62,21 +131,34 @@ class EventArena {
   static constexpr std::uint32_t kSlabShift = 10;  // 1024 slots / slab
   static constexpr std::uint32_t kSlabSize = 1u << kSlabShift;
 
+  EventArena() = default;
+  EventArena(const EventArena&) = delete;
+  EventArena& operator=(const EventArena&) = delete;
+
   /// Takes a free slot (growing by one slab when exhausted) and arms it with
-  /// `(time, action)`. Returns the slot index; read the matching generation
-  /// via generation().
-  std::uint32_t acquire(SimTime time, std::function<void()>&& action) {
+  /// `(time, sequence, action)`. Returns the slot index; read the matching
+  /// handle generation via generation().
+  template <typename F>
+  std::uint32_t acquire(SimTime time, std::uint64_t sequence, F&& action) {
     if (free_head_ == kInvalidSlot) grow();
     const std::uint32_t index = free_head_;
     EventSlot& slot = (*this)[index];
     free_head_ = slot.next_free;
+    slot.action.emplace(std::forward<F>(action));
     slot.time = time;
-    slot.action = std::move(action);
+    slot.sequence = sequence;
     ++live_;
     return index;
   }
 
-  /// True while `generation` is the slot's current (armed) generation.
+  /// True while the slot holds the event scheduled as `sequence` (the queue
+  /// entry's staleness test).
+  [[nodiscard]] bool is_armed(std::uint32_t index, std::uint64_t sequence) const noexcept {
+    return (*this)[index].sequence == sequence;
+  }
+
+  /// True while `generation` is the slot's current (armed) generation (the
+  /// handle's staleness test).
   [[nodiscard]] bool is_current(std::uint32_t index, std::uint32_t generation) const noexcept {
     return (*this)[index].generation == generation;
   }
@@ -87,11 +169,11 @@ class EventArena {
 
   [[nodiscard]] SimTime time(std::uint32_t index) const noexcept { return (*this)[index].time; }
 
-  /// Retires the slot (stale-ing all handles) and returns its action for
-  /// execution. Precondition: is_current(index, ...) held by the caller.
-  [[nodiscard]] std::function<void()> retire_and_take(std::uint32_t index) {
+  /// Retires the slot (stale-ing its handles) and returns its action for
+  /// execution. Precondition: the slot is armed.
+  [[nodiscard]] Action retire_and_take(std::uint32_t index) noexcept {
     EventSlot& slot = (*this)[index];
-    std::function<void()> action = std::move(slot.action);
+    const Action action = slot.action;
     release(index, slot);
     return action;
   }
@@ -101,7 +183,6 @@ class EventArena {
   bool cancel(std::uint32_t index, std::uint32_t generation) noexcept {
     EventSlot& slot = (*this)[index];
     if (slot.generation != generation) return false;
-    slot.action = nullptr;  // release captures eagerly
     release(index, slot);
     ++stats_.events_cancelled;
     return true;
@@ -111,17 +192,17 @@ class EventArena {
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
 
   /// Returns the arena to its just-constructed state while keeping every
-  /// slab allocated: all slots are disarmed (actions released, generations
-  /// bumped so outstanding handles read stale) and the free list is rebuilt
-  /// in ascending index order — the same hand-out order a fresh arena
-  /// produces as it grows. Stats restart from zero except arena_capacity,
-  /// which keeps reporting the retained slots; arena_slabs therefore counts
-  /// slab allocations *since the reset* (zero for a warmed arena).
+  /// slab allocated: all slots are disarmed (generations bumped so
+  /// outstanding handles read stale) and the free list is rebuilt in
+  /// ascending index order — the same hand-out order a fresh arena produces
+  /// as it grows. Stats restart from zero except arena_capacity, which keeps
+  /// reporting the retained slots; arena_slabs therefore counts slab
+  /// allocations *since the reset* (zero for a warmed arena).
   void reset() noexcept {
     free_head_ = kInvalidSlot;
     for (std::uint32_t index = capacity_; index-- > 0;) {
       EventSlot& slot = (*this)[index];
-      if (slot.action) slot.action = nullptr;  // release captures eagerly
+      slot.sequence = kNoSequence;
       ++slot.generation;
       slot.next_free = free_head_;
       free_head_ = index;
@@ -143,6 +224,7 @@ class EventArena {
   }
 
   void release(std::uint32_t index, EventSlot& slot) noexcept {
+    slot.sequence = kNoSequence;
     ++slot.generation;
     slot.next_free = free_head_;
     free_head_ = index;
@@ -150,22 +232,12 @@ class EventArena {
     --live_;
   }
 
-  void grow() {
-    DG_ASSERT_MSG(capacity_ < kInvalidSlot - kSlabSize, "event arena exhausted");
-    slabs_.push_back(std::make_unique<EventSlot[]>(kSlabSize));
-    const std::uint32_t base = capacity_;
-    capacity_ += kSlabSize;
-    // Chain the new slab back-to-front so slots are first handed out in
-    // ascending index order (purely cosmetic; determinism never depends on
-    // slot numbering).
-    for (std::uint32_t i = kSlabSize; i-- > 0;) {
-      EventSlot& slot = (*this)[base + i];
-      slot.next_free = free_head_;
-      free_head_ = base + i;
-    }
-    ++stats_.arena_slabs;
-    stats_.arena_capacity = capacity_;
-  }
+  /// Slot indices must fit a queue entry's slot field (des/queue_policy.hpp).
+  static constexpr std::uint32_t kMaxSlots = 1u << 24;
+
+  /// Adds one slab to the free list (out of line: rare, and kept out of the
+  /// inlined acquire()).
+  void grow();
 
   std::vector<std::unique_ptr<EventSlot[]>> slabs_;
   std::uint32_t capacity_ = 0;
@@ -174,48 +246,93 @@ class EventArena {
   KernelStats stats_;
 };
 
+/// Liveness record shared by a Simulator and the EventHandles it issued.
+/// `arena` goes null when the simulator dies; whichever of the simulator
+/// and its handles lets go last deletes the record. Plain-integer count:
+/// simulators and their handles stay on one thread.
+struct HandleAnchor {
+  EventArena* arena;
+  std::size_t refs;
+};
+
+inline void anchor_release(HandleAnchor* anchor) noexcept {
+  if (anchor != nullptr && --anchor->refs == 0) delete anchor;
+}
+
 }  // namespace detail
 
 /// Cancellable reference to a scheduled event.
 ///
-/// Handles are cheap value types (16 bytes + a weak arena reference) and may
-/// freely outlive the event *and* the Simulator: a handle whose event fired,
-/// was cancelled, or whose simulator died reports pending() == false and
-/// cancel() == false. Not thread-safe (like the kernel itself).
+/// Handles are cheap value types (a liveness-record pointer plus slot and
+/// generation) and may freely outlive the event *and* the Simulator: a
+/// handle whose event fired, was cancelled, or whose simulator died reports
+/// pending() == false and cancel() == false. Copies share the record; none
+/// of the operations allocate once the handle exists. Not thread-safe (like
+/// the kernel itself).
 class EventHandle {
  public:
   /// An inert handle: never pending, cancel() returns false.
   EventHandle() = default;
 
-  /// Cancels the event if it is still pending, in O(1) (the slot generation
-  /// is bumped; the stale heap entry is skipped lazily when popped).
+  EventHandle(const EventHandle& other) noexcept
+      : anchor_(other.anchor_), slot_(other.slot_), generation_(other.generation_) {
+    if (anchor_ != nullptr) ++anchor_->refs;
+  }
+  EventHandle(EventHandle&& other) noexcept
+      : anchor_(std::exchange(other.anchor_, nullptr)), slot_(other.slot_),
+        generation_(other.generation_) {}
+  EventHandle& operator=(const EventHandle& other) noexcept {
+    if (other.anchor_ != nullptr) ++other.anchor_->refs;  // before release: self-assignment
+    detail::anchor_release(anchor_);
+    anchor_ = other.anchor_;
+    slot_ = other.slot_;
+    generation_ = other.generation_;
+    return *this;
+  }
+  EventHandle& operator=(EventHandle&& other) noexcept {
+    if (this != &other) {
+      detail::anchor_release(anchor_);
+      anchor_ = std::exchange(other.anchor_, nullptr);
+      slot_ = other.slot_;
+      generation_ = other.generation_;
+    }
+    return *this;
+  }
+  ~EventHandle() { detail::anchor_release(anchor_); }
+
+  /// Cancels the event if it is still pending, in O(1) (the slot is
+  /// retired; the stale queue entry is skipped lazily when popped).
   /// Returns true if this call performed the cancellation (false if the
   /// event already ran, was already cancelled, or the handle is empty).
   bool cancel() noexcept {
-    auto arena = arena_.lock();
-    return arena && arena->cancel(slot_, generation_);
+    detail::EventArena* arena = this->arena();
+    return arena != nullptr && arena->cancel(slot_, generation_);
   }
 
   /// True while the event is scheduled and not cancelled or executed.
   /// An event's own handle reads false during the action's execution.
   [[nodiscard]] bool pending() const noexcept {
-    auto arena = arena_.lock();
-    return arena && arena->is_current(slot_, generation_);
+    const detail::EventArena* arena = this->arena();
+    return arena != nullptr && arena->is_current(slot_, generation_);
   }
 
   /// Scheduled firing time; only meaningful while pending() (0.0 otherwise).
   [[nodiscard]] SimTime time() const noexcept {
-    auto arena = arena_.lock();
-    return arena && arena->is_current(slot_, generation_) ? arena->time(slot_) : 0.0;
+    return pending() ? arena()->time(slot_) : 0.0;
   }
 
  private:
   friend class Simulator;
-  EventHandle(const std::shared_ptr<detail::EventArena>& arena, std::uint32_t slot,
-              std::uint32_t generation) noexcept
-      : arena_(arena), slot_(slot), generation_(generation) {}
+  EventHandle(detail::HandleAnchor* anchor, std::uint32_t slot, std::uint32_t generation) noexcept
+      : anchor_(anchor), slot_(slot), generation_(generation) {
+    ++anchor_->refs;
+  }
 
-  std::weak_ptr<detail::EventArena> arena_;
+  [[nodiscard]] detail::EventArena* arena() const noexcept {
+    return anchor_ != nullptr ? anchor_->arena : nullptr;
+  }
+
+  detail::HandleAnchor* anchor_ = nullptr;
   std::uint32_t slot_ = detail::kInvalidSlot;
   std::uint32_t generation_ = 0;
 };

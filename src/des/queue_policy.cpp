@@ -29,7 +29,7 @@ void CalendarQueue::spill_near() {
   // pre-existing overflow entry is >= the old, larger limit, and near-side
   // entries tying the new limit carry smaller sequence numbers than the
   // spilled ones — so overflow remains uniformly "no earlier than near_".
-  near_limit_ = near_[kNearKeep].time;
+  near_limit_ = near_[kNearKeep].time();
   overflow_.insert(overflow_.end(), near_.begin() + static_cast<std::ptrdiff_t>(kNearKeep),
                    near_.end());
   near_.resize(kNearKeep);
@@ -64,11 +64,11 @@ void CalendarQueue::refill() {
 }
 
 void CalendarQueue::build_ladder() {
-  double lo = overflow_.front().time;
+  double lo = overflow_.front().time();
   double hi = lo;
   for (const QueueEntry& entry : overflow_) {
-    lo = std::min(lo, entry.time);
-    hi = std::max(hi, entry.time);
+    lo = std::min(lo, entry.time());
+    hi = std::max(hi, entry.time());
   }
   const std::size_t want = overflow_.size() / kBucketChunk;
   std::size_t count = 1;
@@ -79,7 +79,7 @@ void CalendarQueue::build_ladder() {
   const double span = hi - lo;
   width_ = span > 0.0 ? span / static_cast<double>(bucket_count_) : 1.0;
   for (const QueueEntry& entry : overflow_) {
-    const double d = (entry.time - base_) / width_;
+    const double d = (entry.time() - base_) / width_;
     const std::size_t idx = d >= static_cast<double>(bucket_count_)
                                 ? bucket_count_ - 1
                                 : static_cast<std::size_t>(d);

@@ -1,13 +1,17 @@
 // Pluggable event-queue backends for the DES kernel.
 //
-// The simulator's pending-event set is a priority queue of 24-byte POD
-// entries ordered by (time, sequence); the sequence tie-break makes runs
-// bitwise deterministic regardless of backend. This header defines the
-// EventQueuePolicy concept — the seam between the Simulator run loop and the
-// queue data structure — and two conforming backends:
+// The simulator's pending-event set is a priority queue of 16-byte entries,
+// each a single 128-bit key: the bit pattern of the event time in the high
+// word, the scheduling sequence number and the arena slot in the low word.
+// For the non-negative, finite times the kernel accepts, one unsigned integer
+// compare of two keys is the (time, sequence) order; the sequence tie-break
+// makes runs bitwise deterministic regardless of backend. This header
+// defines the EventQueuePolicy concept — the seam between the Simulator run
+// loop and the queue data structure — and two conforming backends:
 //
-//  * FourAryHeapQueue — the original cache-friendly 4-ary implicit heap.
-//    O(log4 n) push/pop, two cache lines touched per level. The safe default.
+//  * FourAryHeapQueue — a cache-friendly 4-ary implicit heap. O(log4 n)
+//    push/pop; pop walks the hole to a leaf along the earliest children
+//    (branch-free min-of-4) and sifts the last entry back up. The default.
 //  * CalendarQueue — a two-tier ladder queue tuned for the near-future-heavy
 //    event mix of desktop-grid runs (most schedules land close to now, a thin
 //    tail of failure/repair events lands far out). Near-future entries live
@@ -20,8 +24,9 @@
 // Every backend must pop in ascending (time, sequence) order — the bitwise-
 // determinism contract. tests/test_kernel_equivalence.cpp runs the full
 // policy x availability matrix on each backend and asserts identical event
-// sequences and kernel counters; tests/test_des.cpp cross-checks the
-// backends directly on randomized push/pop traces.
+// sequences and kernel counters; tests/test_des.cpp and
+// tests/test_queue_policy.cpp cross-check the backends directly on
+// randomized push/pop traces.
 //
 // Backend selection: the DGSCHED_QUEUE CMake cache variable picks the
 // compile-time default; the DGSCHED_QUEUE environment variable ("heap4" |
@@ -29,6 +34,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -42,21 +48,56 @@
 
 namespace dg::des {
 
-/// One priority-queue entry. Stale entries (slot generation moved on) are
-/// skipped when they surface at the front — cancellation never touches the
-/// queue structure.
+/// One priority-queue entry: a 128-bit key ordering by (time, sequence).
+///
+///  * bits 127..64: the IEEE-754 bit pattern of `time + 0.0` (the addition
+///    turns -0.0 into +0.0); for non-negative times the pattern is monotone
+///    in the value;
+///  * bits 63..24: the event's scheduling sequence number (unique per run);
+///  * bits 23..0:  the arena slot holding the event.
+///
+/// Keys are unique (sequences are), so any correct priority queue pops them
+/// in one order. Stale entries — whose slot no longer holds that sequence —
+/// are skipped when they surface at the front; cancellation never touches
+/// the queue structure.
 struct QueueEntry {
-  SimTime time;
-  std::uint64_t sequence;  ///< Deterministic FIFO tie-break at equal times.
-  std::uint32_t slot;
-  std::uint32_t generation;
+  __extension__ using Key = unsigned __int128;
+
+  static constexpr int kSlotBits = 24;
+  static constexpr int kSequenceBits = 64 - kSlotBits;
+  static constexpr std::uint64_t kMaxSequence = (std::uint64_t{1} << kSequenceBits) - 1;
+  static constexpr std::uint32_t kMaxSlot = (std::uint32_t{1} << kSlotBits) - 1;
+
+  Key key;
+
+  /// Packs an entry. Preconditions: `time` is finite and >= 0 (or -0.0),
+  /// `sequence` <= kMaxSequence, `slot` <= kMaxSlot.
+  [[nodiscard]] static QueueEntry make(SimTime time, std::uint64_t sequence,
+                                       std::uint32_t slot) noexcept {
+    DG_ASSERT_MSG(time >= 0.0, "queue keys need a non-negative time");
+    DG_ASSERT_MSG(sequence <= kMaxSequence, "event sequence space exhausted");
+    DG_ASSERT_MSG(slot <= kMaxSlot, "event slot outside the queue key");
+    const std::uint64_t low = (sequence << kSlotBits) | slot;
+    return QueueEntry{(Key{std::bit_cast<std::uint64_t>(time + 0.0)} << 64) | low};
+  }
+
+  [[nodiscard]] SimTime time() const noexcept {
+    return std::bit_cast<SimTime>(static_cast<std::uint64_t>(key >> 64));
+  }
+  [[nodiscard]] std::uint64_t sequence() const noexcept {
+    return static_cast<std::uint64_t>(key) >> kSlotBits;
+  }
+  [[nodiscard]] std::uint32_t slot() const noexcept {
+    return static_cast<std::uint32_t>(key) & kMaxSlot;
+  }
 };
+
+static_assert(sizeof(QueueEntry) == 16);
 
 /// Strict weak order the kernel fires events in: ascending time, scheduling
 /// order within a timestamp.
 [[nodiscard]] constexpr bool queue_earlier(const QueueEntry& a, const QueueEntry& b) noexcept {
-  if (a.time != b.time) return a.time < b.time;
-  return a.sequence < b.sequence;
+  return a.key < b.key;
 }
 
 /// The seam between Simulator and its pending-event store. Semantics every
@@ -77,19 +118,13 @@ concept EventQueuePolicy = requires(Q q, const Q cq, const QueueEntry& e) {
   { q.clear() } -> std::same_as<void>;
 };
 
-/// The original kernel queue: a 4-ary implicit heap of QueueEntry PODs.
+/// The default kernel queue: a 4-ary implicit heap of 16-byte keys.
 class FourAryHeapQueue {
  public:
   void push(const QueueEntry& entry) {
     std::size_t hole = heap_.size();
     heap_.push_back(entry);
-    while (hole > 0) {
-      const std::size_t parent = (hole - 1) / kArity;
-      if (!queue_earlier(entry, heap_[parent])) break;
-      heap_[hole] = heap_[parent];
-      hole = parent;
-    }
-    heap_[hole] = entry;
+    sift_up(hole, entry);
   }
 
   [[nodiscard]] const QueueEntry& top() noexcept { return heap_.front(); }
@@ -99,22 +134,34 @@ class FourAryHeapQueue {
     heap_.pop_back();
     const std::size_t size = heap_.size();
     if (size == 0) return;
-    // Sift the former last element down from the root, always descending into
-    // the earliest of (up to) four children — two cache lines per level.
+    // Bottom-up pop: walk the root's hole down to a leaf, always promoting
+    // the earliest child, then sift the former last entry up from there. The
+    // last entry almost always belongs near the bottom, so this skips the
+    // per-level "does `last` fit here" compare of a classic sift-down.
     std::size_t hole = 0;
+    const QueueEntry* heap = heap_.data();
     for (;;) {
-      const std::size_t first_child = hole * kArity + 1;
-      if (first_child >= size) break;
-      std::size_t best = first_child;
-      const std::size_t end = std::min(first_child + kArity, size);
-      for (std::size_t child = first_child + 1; child < end; ++child) {
-        if (queue_earlier(heap_[child], heap_[best])) best = child;
+      const std::size_t first = hole * kArity + 1;
+      std::size_t best;
+      if (first + kArity <= size) {
+        // Full node: branch-free tournament over the four children (the
+        // winner is data-dependent, so branches here mispredict often).
+        const QueueEntry* c = heap + first;
+        const std::size_t a = key_less(c[1], c[0]);
+        const std::size_t b = 2 + key_less(c[3], c[2]);
+        best = first + a + ((b - a) & (std::size_t{0} - key_less(c[b], c[a])));
+      } else if (first < size) {
+        best = first;
+        for (std::size_t child = first + 1; child < size; ++child) {
+          if (heap[child].key < heap[best].key) best = child;
+        }
+      } else {
+        break;
       }
-      if (!queue_earlier(heap_[best], last)) break;
       heap_[hole] = heap_[best];
       hole = best;
     }
-    heap_[hole] = last;
+    sift_up(hole, last);
   }
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
@@ -123,6 +170,25 @@ class FourAryHeapQueue {
 
  private:
   static constexpr std::size_t kArity = 4;
+
+  /// 1 if `a` sorts before `b`, else 0, computed without a branch: keys stay
+  /// below 2^127 (a non-negative time has its sign bit clear), so `a - b`
+  /// wraps to 2^127 or above exactly when a < b.
+  [[nodiscard]] static std::size_t key_less(const QueueEntry& a, const QueueEntry& b) noexcept {
+    return static_cast<std::size_t>((a.key - b.key) >> 127);
+  }
+
+  /// Moves `entry` from `hole` towards the root until its parent is earlier.
+  void sift_up(std::size_t hole, const QueueEntry& entry) noexcept {
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / kArity;
+      if (!(entry.key < heap_[parent].key)) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = entry;
+  }
+
   std::vector<QueueEntry> heap_;
 };
 
@@ -155,7 +221,7 @@ class CalendarQueue {
   void push(const QueueEntry& entry) {
     ++size_;
     if (ladder_active_) {
-      const double d = (entry.time - base_) / width_;
+      const double d = (entry.time() - base_) / width_;
       if (!(d >= static_cast<double>(current_bucket_) + 1.0)) {
         near_insert(entry);
       } else if (d >= static_cast<double>(bucket_count_)) {
@@ -165,7 +231,7 @@ class CalendarQueue {
       }
       return;
     }
-    if (entry.time < near_limit_) {
+    if (entry.time() < near_limit_) {
       near_insert(entry);
       if (near_.size() - cursor_ > kSpillThreshold) spill_near();
     } else {

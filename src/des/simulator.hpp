@@ -4,18 +4,21 @@
 // (des/queue_policy.hpp): a cache-friendly 4-ary implicit heap by default,
 // or a calendar/ladder queue tuned for near-future-heavy event mixes —
 // selected per Simulator at construction (DGSCHED_QUEUE CMake/env knob) or
-// via set_queue_backend(). Entries are 24-byte PODs ordered by
+// via set_queue_backend(). Entries are 16-byte keys ordered by
 // (time, sequence) — ties break in scheduling order so runs are bitwise
 // deterministic on every backend — referencing recycled slots in a slab
-// arena (des/event.hpp), so the steady-state hot path — schedule, fire,
-// cancel — performs no heap allocation. The kernel is deliberately
-// single-threaded; parallelism in dgsched lives one level up, across
-// independent replications (see exp::ExperimentRunner).
+// arena (des/event.hpp) that hold each event's inline des::Action, so the
+// steady-state hot path — schedule, fire, cancel — performs no heap
+// allocation, no type-erased destruction and no atomic operation. The
+// kernel is deliberately single-threaded; parallelism in dgsched lives one
+// level up, across independent replications (see exp::ExperimentRunner).
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "des/event.hpp"
 #include "des/queue_policy.hpp"
@@ -34,22 +37,41 @@ namespace dg::des {
 class Simulator {
  public:
   explicit Simulator(QueueBackend backend = default_queue_backend())
-      : arena_(std::make_shared<detail::EventArena>()), backend_(backend) {}
+      : anchor_(new detail::HandleAnchor{&arena_, 1}), backend_(backend) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+  /// Outstanding EventHandles survive the simulator and read not-pending.
+  ~Simulator() {
+    anchor_->arena = nullptr;
+    detail::anchor_release(anchor_);
+  }
 
   /// Current simulation time. Starts at 0; advances only inside step(),
   /// run(), and run_until().
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` at absolute time `time`. Returns a handle that can
-  /// cancel the event while pending.
+  /// Schedules `action` — anything that converts to des::Action, such as a
+  /// lambda capturing pointers and ids — at absolute time `time`. Returns a
+  /// handle that can cancel the event while pending. Inline, and templated
+  /// on the callable, so the closure is stored straight into its arena slot.
   /// Preconditions: `time` is finite and >= now(); `action` is non-empty.
-  EventHandle schedule_at(SimTime time, std::function<void()> action);
+  template <typename F>
+    requires std::convertible_to<F, Action>
+  EventHandle schedule_at(SimTime time, F&& action) {
+    DG_ASSERT_MSG(std::isfinite(time), "event time must be finite");
+    DG_ASSERT_MSG(time >= now_, "cannot schedule an event in the past");
+    if constexpr (std::same_as<std::remove_cvref_t<F>, Action>) DG_ASSERT(action);
+    const std::uint64_t sequence = next_sequence_++;
+    const std::uint32_t slot = arena_.acquire(time, sequence, std::forward<F>(action));
+    enqueue(time, sequence, slot);
+    return EventHandle{anchor_, slot, arena_.generation(slot)};
+  }
 
   /// Schedules `action` after `delay` (>= 0) from now.
-  EventHandle schedule_after(SimTime delay, std::function<void()> action) {
-    return schedule_at(now_ + delay, std::move(action));
+  template <typename F>
+    requires std::convertible_to<F, Action>
+  EventHandle schedule_after(SimTime delay, F&& action) {
+    return schedule_at(now_ + delay, std::forward<F>(action));
   }
 
   /// Executes the next pending event. Returns false when no live event
@@ -78,18 +100,18 @@ class Simulator {
 
   /// Number of events executed so far (cancelled events are not counted).
   [[nodiscard]] std::uint64_t executed_events() const noexcept {
-    return arena_->stats().events_fired;
+    return arena_.stats().events_fired;
   }
   /// Number of events ever scheduled.
   [[nodiscard]] std::uint64_t scheduled_events() const noexcept { return next_sequence_; }
   /// Exact number of live pending events (cancelled events leave a stale
   /// queue entry but are excluded from this count).
-  [[nodiscard]] std::size_t pending_events() const noexcept { return arena_->live(); }
-  [[nodiscard]] bool empty() const noexcept { return arena_->live() == 0; }
+  [[nodiscard]] std::size_t pending_events() const noexcept { return arena_.live(); }
+  [[nodiscard]] bool empty() const noexcept { return arena_.live() == 0; }
 
   /// Kernel counters for this simulator (see KernelStats). Values are
   /// cumulative since construction or the last reset().
-  [[nodiscard]] const KernelStats& stats() const noexcept { return arena_->stats(); }
+  [[nodiscard]] const KernelStats& stats() const noexcept { return arena_.stats(); }
 
   /// Returns the simulator to t = 0 with an empty queue while retaining the
   /// arena slabs and queue capacity — the reuse hook sim::SimulationWorkspace
@@ -98,7 +120,7 @@ class Simulator {
   /// and sequence numbers restart at 0, so a (config, seed)-identical run
   /// after reset() is bit-identical to one on a fresh Simulator.
   void reset() noexcept {
-    arena_->reset();
+    arena_.reset();
     heap4_.clear();
     calendar_.clear();
     now_ = 0.0;
@@ -137,8 +159,14 @@ class Simulator {
 
   /// Drops stale entries from the front; returns false when the queue empties.
   bool queue_skip_stale();
+  /// Pushes the queue entry of a just-armed slot and updates the counters.
+  void enqueue(SimTime time, std::uint64_t sequence, std::uint32_t slot);
+  /// Pops and runs the front entry. Precondition: queue_skip_stale() held.
+  void fire_front();
 
-  std::shared_ptr<detail::EventArena> arena_;
+  detail::EventArena arena_;
+  /// Liveness record every issued EventHandle points at (owned jointly).
+  detail::HandleAnchor* anchor_;
   FourAryHeapQueue heap4_;
   CalendarQueue calendar_;
   QueueBackend backend_;

@@ -1,6 +1,7 @@
 #include "sched/bot_state.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sched/dispatch_index.hpp"
 
@@ -9,8 +10,9 @@ namespace dg::sched {
 BotState::BotState(const workload::BotSpec& spec, TaskOrder order,
                    std::pmr::memory_resource* mem)
     : id_(spec.id), arrival_time_(spec.arrival_time), granularity_(spec.granularity),
-      order_(order), tasks_(mem), unstarted_order_(mem), resubmission_queue_(mem),
-      requeue_(mem), buckets_(mem) {
+      order_(order), tasks_(mem), unstarted_order_(mem), rank_of_(mem),
+      resubmission_queue_(mem), requeue_(mem), words_per_bucket_((spec.tasks.size() + 63) / 64),
+      bucket_words_(mem), bucket_heads_(mem) {
   tasks_.reserve(spec.tasks.size());
   for (std::size_t i = 0; i < spec.tasks.size(); ++i) {
     tasks_.emplace_back(*this, static_cast<workload::TaskIndex>(i), spec.tasks[i].work,
@@ -22,6 +24,10 @@ BotState::BotState(const workload::BotSpec& spec, TaskOrder order,
   if (order_ == TaskOrder::kDescendingWork) {
     std::stable_sort(unstarted_order_.begin(), unstarted_order_.end(),
                      [](const TaskState* a, const TaskState* b) { return a->work() > b->work(); });
+    rank_of_.resize(tasks_.size());
+    for (std::size_t r = 0; r < unstarted_order_.size(); ++r) {
+      rank_of_[unstarted_order_[r]->index()] = static_cast<std::uint32_t>(r);
+    }
   }
 }
 
@@ -98,35 +104,51 @@ bool BotState::has_stale_queue_entries() const {
 
 TaskState* BotState::least_replicated_below(int threshold) const {
   // The smallest occupied count is the first bucket a count-ordered walk
-  // would reach; its front is the bag-order first task.
+  // would reach; its lowest set rank is the bag-order first task.
   if (min_count_ >= threshold) return nullptr;
-  return bucket(min_count_).front();
+  const BucketHead& head = bucket_heads_[static_cast<std::size_t>(min_count_ - 1)];
+  const std::uint64_t word = bucket_words_[bucket_base(min_count_) + head.front];
+  DG_ASSERT(word != 0);
+  return unstarted_order_[std::size_t{head.front} * 64 +
+                          static_cast<std::size_t>(std::countr_zero(word))];
 }
 
-void BotState::bucket_insert(TaskState& task, int count) {
+void BotState::bucket_insert(const TaskState& task, int count) {
   DG_ASSERT(count >= 1);
-  if (buckets_.size() < static_cast<std::size_t>(count)) {
-    buckets_.resize(static_cast<std::size_t>(count));
+  if (bucket_heads_.size() < static_cast<std::size_t>(count)) {
+    bucket_heads_.resize(static_cast<std::size_t>(count));
+    bucket_words_.resize(bucket_heads_.size() * words_per_bucket_);
   }
-  Bucket& tasks = bucket(count);
-  const OrderedLess less{order_ == TaskOrder::kDescendingWork};
-  const auto it = std::lower_bound(tasks.begin(), tasks.end(), &task, less);
-  DG_ASSERT_MSG(it == tasks.end() || *it != &task, "task already present in replica bucket");
-  tasks.insert(it, &task);
+  BucketHead& head = bucket_heads_[static_cast<std::size_t>(count - 1)];
+  const std::size_t r = rank(task);
+  const auto w = static_cast<std::uint32_t>(r / 64);
+  std::uint64_t& word = bucket_words_[bucket_base(count) + w];
+  const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+  DG_ASSERT_MSG((word & bit) == 0, "task already present in replica bucket");
+  word |= bit;
+  if (head.size++ == 0 || w < head.front) head.front = w;
   ++bucketed_;
   min_count_ = std::min(min_count_, count);
 }
 
-void BotState::bucket_erase(TaskState& task, int count) {
-  DG_ASSERT_MSG(count >= 1 && static_cast<std::size_t>(count) <= buckets_.size(),
+void BotState::bucket_erase(const TaskState& task, int count) {
+  DG_ASSERT_MSG(count >= 1 && static_cast<std::size_t>(count) <= bucket_heads_.size(),
                 "missing replica bucket");
-  Bucket& tasks = bucket(count);
-  const OrderedLess less{order_ == TaskOrder::kDescendingWork};
-  const auto it = std::lower_bound(tasks.begin(), tasks.end(), &task, less);
-  DG_ASSERT_MSG(it != tasks.end() && *it == &task, "task missing from replica bucket");
-  tasks.erase(it);
+  BucketHead& head = bucket_heads_[static_cast<std::size_t>(count - 1)];
+  const std::size_t base = bucket_base(count);
+  const std::size_t r = rank(task);
+  std::uint64_t& word = bucket_words_[base + r / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+  DG_ASSERT_MSG((word & bit) != 0, "task missing from replica bucket");
+  word &= ~bit;
   --bucketed_;
-  if (count != min_count_ || !tasks.empty()) return;
+  if (--head.size != 0) {
+    // Keep `front` on the lowest non-empty word; it only moves up when its
+    // own word empties.
+    while (bucket_words_[base + head.front] == 0) ++head.front;
+    return;
+  }
+  if (count != min_count_) return;
   if (bucketed_ == 0) {
     min_count_ = std::numeric_limits<int>::max();
     return;
@@ -134,7 +156,7 @@ void BotState::bucket_erase(TaskState& task, int count) {
   // Some higher bucket is occupied: advance to it.
   do {
     ++min_count_;
-  } while (bucket(min_count_).empty());
+  } while (bucket_heads_[static_cast<std::size_t>(min_count_ - 1)].size == 0);
 }
 
 void BotState::after_replica_started(TaskState& task) {
@@ -167,8 +189,10 @@ void BotState::on_task_completed(TaskState& task) {
   if (completed()) {
     // Completed bags stay alive until the replication ends; hand the bucket
     // storage back to the pool so later bags reuse it.
-    buckets_.clear();
-    buckets_.shrink_to_fit();
+    bucket_words_.clear();
+    bucket_words_.shrink_to_fit();
+    bucket_heads_.clear();
+    bucket_heads_.shrink_to_fit();
   }
   refresh_dispatch_index();
 }

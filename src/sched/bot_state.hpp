@@ -6,8 +6,11 @@
 //   * a priority FIFO of failed tasks awaiting resubmission (WQR-FT),
 //   * a plain re-queue for fault re-execution without priority (WQR/WorkQueue),
 //   * replica-count buckets answering "least-replicated incomplete task below
-//     the replication threshold" in O(1) time: one sorted flat vector per
-//     count plus the cached smallest occupied count.
+//     the replication threshold" in O(1) time. A task's *rank* is its
+//     position in the bag's dispatch order (the task index under kArrival);
+//     each count keeps a bitset over ranks with its size and cached lowest
+//     non-empty word, so insert and erase flip one bit and the answer is the
+//     lowest set bit of the smallest occupied count's bitset.
 // All structures are deterministic (ordered containers, stable tie-breaks).
 #pragma once
 
@@ -156,25 +159,23 @@ class BotState {
   }
 
  private:
-  struct OrderedLess {
-    // Comparison by the bag's dispatch order; pointers carry the key data.
-    bool operator()(const TaskState* a, const TaskState* b) const noexcept {
-      if (descending_work) {
-        if (a->work() != b->work()) return a->work() > b->work();
-      }
-      return a->index() < b->index();
-    }
-    bool descending_work = false;
+  /// One replica count's bitset: `size` set bits, the lowest of them in
+  /// word `front` (meaningful while size > 0).
+  struct BucketHead {
+    std::uint32_t size = 0;
+    std::uint32_t front = 0;
   };
 
-  using Bucket = std::pmr::vector<TaskState*>;
-
-  [[nodiscard]] Bucket& bucket(int count) { return buckets_[static_cast<std::size_t>(count - 1)]; }
-  [[nodiscard]] const Bucket& bucket(int count) const {
-    return buckets_[static_cast<std::size_t>(count - 1)];
+  /// The task's position in unstarted_order_.
+  [[nodiscard]] std::size_t rank(const TaskState& task) const noexcept {
+    return order_ == TaskOrder::kArrival ? task.index() : rank_of_[task.index()];
   }
-  void bucket_insert(TaskState& task, int count);
-  void bucket_erase(TaskState& task, int count);
+  /// First word of count `count`'s bitset in bucket_words_.
+  [[nodiscard]] std::size_t bucket_base(int count) const noexcept {
+    return static_cast<std::size_t>(count - 1) * words_per_bucket_;
+  }
+  void bucket_insert(const TaskState& task, int count);
+  void bucket_erase(const TaskState& task, int count);
 
   workload::BotId id_;
   double arrival_time_;
@@ -186,17 +187,25 @@ class BotState {
   std::pmr::vector<TaskState> tasks_;
 
   // Unstarted cursor: precomputed dispatch order, advanced lazily (mutable:
-  // the const peeks skip already-consumed entries; see the peek docs).
+  // the const peeks skip already-consumed entries; see the peek docs). The
+  // order doubles as the rank -> task map of the replica buckets.
   std::pmr::vector<TaskState*> unstarted_order_;
   mutable std::size_t unstarted_cursor_ = 0;
+  /// Task index -> rank under kDescendingWork; empty under kArrival, where
+  /// the rank is the index.
+  std::pmr::vector<std::uint32_t> rank_of_;
 
   mutable std::pmr::deque<TaskState*> resubmission_queue_;
   mutable std::pmr::deque<TaskState*> requeue_;
 
-  // buckets_[c - 1]: the incomplete tasks with exactly c >= 1 running
-  // replicas, sorted by OrderedLess. Grown on demand; a count's vector keeps
-  // its capacity until the bag completes, which releases them all.
-  std::pmr::vector<Bucket> buckets_;
+  // Replica-count buckets: count c >= 1 owns words
+  // [bucket_base(c), bucket_base(c) + words_per_bucket_) of bucket_words_, a
+  // bitset over the ranks of the incomplete tasks with exactly c running
+  // replicas, and bucket_heads_[c - 1]. Grown a count at a time; the
+  // storage is kept until the bag completes, which releases it.
+  std::size_t words_per_bucket_;
+  std::pmr::vector<std::uint64_t> bucket_words_;
+  std::pmr::vector<BucketHead> bucket_heads_;
   /// Tasks held across all buckets.
   std::size_t bucketed_ = 0;
   /// Smallest count with a non-empty bucket, INT_MAX when all are empty.

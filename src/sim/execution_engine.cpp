@@ -298,15 +298,16 @@ grid::MachineId* ExecutionEngine::replica_link(sched::TaskState& task,
   return link;
 }
 
-ExecutionEngine::Replica ExecutionEngine::detach_replica(grid::MachineId machine_id) {
-  Replica replica = replicas_[machine_id];
+grid::Machine* ExecutionEngine::detach_replica(grid::MachineId machine_id) {
+  Replica& replica = replicas_[machine_id];
   DG_ASSERT(replica.task != nullptr);
   grid::MachineId* link = replica_link(*replica.task, machine_id);
   DG_ASSERT_MSG(*link == machine_id, "replica missing from its task's replica list");
   *link = replica.next;
-  replicas_[machine_id] = Replica{};
-  set_machine_busy(*replica.machine, false);
-  return replica;
+  grid::Machine* machine = replica.machine;
+  replica = Replica{};
+  set_machine_busy(*machine, false);
+  return machine;
 }
 
 void ExecutionEngine::on_complete(grid::MachineId machine_id) {
@@ -343,14 +344,14 @@ void ExecutionEngine::on_complete(grid::MachineId machine_id) {
     } else {
       useful_compute_time_ += candidate->compute_invested;
     }
-    const Replica owned = detach_replica(id);
+    grid::Machine& machine = *detach_replica(id);
     task.on_replica_stopped(sim_.now());
     scheduler_.notify_replica_stopped(task, is_winner
                                                 ? sched::MultiBotScheduler::StopReason::kWinner
                                                 : sched::MultiBotScheduler::StopReason::kCancelled);
     for (SimulationObserver* observer : observers_) {
       observer->on_replica_stopped(
-          task, *owned.machine,
+          task, machine,
           is_winner ? ReplicaStopKind::kCompleted : ReplicaStopKind::kCancelled, sim_.now());
     }
   }
@@ -380,7 +381,7 @@ void ExecutionEngine::on_machine_failure(grid::Machine& machine) {
   lost_work_ += std::max(0.0, progress - task.checkpointed_work());
   wasted_compute_time_ += replica->compute_invested;
   ++failed_replicas_;
-  const Replica owned = detach_replica(machine.id());
+  detach_replica(machine.id());
   task.on_replica_stopped(sim_.now());
   scheduler_.notify_replica_stopped(task, sched::MultiBotScheduler::StopReason::kFailed);
   for (SimulationObserver* observer : observers_) {

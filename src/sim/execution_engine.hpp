@@ -175,9 +175,9 @@ class ExecutionEngine final : public sched::DispatchSink {
   [[nodiscard]] grid::MachineId* replica_link(sched::TaskState& task,
                                               grid::MachineId machine_id);
   /// Frees the machine, unlinks the slot from its task's replica list and
-  /// clears it (event must already be cancelled / expired). Returns the
-  /// detached record by value.
-  Replica detach_replica(grid::MachineId machine_id);
+  /// clears it in place (event must already be cancelled / expired).
+  /// Returns the machine the replica ran on.
+  grid::Machine* detach_replica(grid::MachineId machine_id);
   void set_machine_busy(grid::Machine& machine, bool busy);
 
   // --- failable-server transfer state machine ---

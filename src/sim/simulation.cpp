@@ -51,8 +51,7 @@ namespace {
 
 /// Shared state of the arrival / completion callbacks. Lives on run()'s
 /// stack so the event lambdas capture a single reference (16 bytes with the
-/// bag pointer — inside std::function's small-buffer optimization, so
-/// scheduling an arrival never touches the heap).
+/// bag pointer, which fits a des::Action's inline buffer).
 struct ArrivalContext {
   sched::MultiBotScheduler* scheduler = nullptr;
   SimulationObserver* observer = nullptr;
@@ -63,8 +62,7 @@ struct ArrivalContext {
 };
 
 /// Self-rescheduling queue monitor. The tick event captures only `this`
-/// (8 bytes, SBO), unlike the old self-copying std::function whose by-ref
-/// capture block was re-allocated on the heap at every sample.
+/// (8 bytes), so rescheduling it copies one pointer.
 struct QueueMonitor {
   des::Simulator* sim = nullptr;
   sched::MultiBotScheduler* scheduler = nullptr;

@@ -91,6 +91,9 @@ class ByteReader {
  private:
   void copy(void* dest, std::size_t bytes) {
     if (remaining() < bytes) throw std::runtime_error("ByteReader: truncated input");
+    // An empty array may come with a null `dest` (an empty vector's data()),
+    // which memcpy must not see even for zero bytes.
+    if (bytes == 0) return;
     std::memcpy(dest, cur_, bytes);
     cur_ += bytes;
   }

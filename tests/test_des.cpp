@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -53,9 +54,9 @@ TEST(Simulator, EventsCanScheduleFurtherEvents) {
   std::vector<double> times;
   std::function<void()> chain = [&] {
     times.push_back(sim.now());
-    if (times.size() < 5) sim.schedule_after(10.0, chain);
+    if (times.size() < 5) sim.schedule_after(10.0, [&chain] { chain(); });
   };
-  sim.schedule_after(10.0, chain);
+  sim.schedule_after(10.0, [&chain] { chain(); });
   sim.run();
   EXPECT_EQ(times, (std::vector<double>{10, 20, 30, 40, 50}));
 }
@@ -184,6 +185,16 @@ TEST(Simulator, ZeroDelayScheduleAfter) {
   EXPECT_EQ(sim.now(), 0.0);
 }
 
+TEST(Simulator, SchedulesAStoredAction) {
+  Simulator sim;
+  int runs = 0;
+  const Action action = [&runs] { ++runs; };
+  sim.schedule_at(1.0, action);
+  sim.schedule_after(2.0, action);
+  sim.run();
+  EXPECT_EQ(runs, 2);
+}
+
 TEST(EventHandle, DefaultConstructedIsInert) {
   EventHandle handle;
   EXPECT_FALSE(handle.pending());
@@ -201,6 +212,86 @@ TEST(EventHandle, HandleOutlivesSimulator) {
   // The record died with the simulator; the weak handle reports not-pending.
   EXPECT_FALSE(handle.pending());
   EXPECT_FALSE(handle.cancel());
+}
+
+TEST(EventHandle, CopiesShareTheEvent) {
+  Simulator sim;
+  bool ran = false;
+  EventHandle original = sim.schedule_at(3.0, [&ran] { ran = true; });
+  EventHandle copy(original);
+  EventHandle assigned;
+  assigned = original;
+  EXPECT_TRUE(copy.pending());
+  EXPECT_TRUE(assigned.pending());
+  EXPECT_EQ(assigned.time(), 3.0);
+  // Cancelling through one copy is seen by all of them, and only once.
+  EXPECT_TRUE(copy.cancel());
+  EXPECT_FALSE(original.pending());
+  EXPECT_FALSE(assigned.pending());
+  EXPECT_FALSE(original.cancel());
+  EXPECT_FALSE(assigned.cancel());
+  sim.run();
+  EXPECT_FALSE(ran);
+}
+
+TEST(EventHandle, MoveLeavesTheSourceInert) {
+  Simulator sim;
+  EventHandle source = sim.schedule_at(2.0, [] {});
+  EventHandle moved(std::move(source));
+  EXPECT_TRUE(moved.pending());
+  EXPECT_FALSE(source.pending());  // NOLINT(bugprone-use-after-move): inert by contract
+  EXPECT_FALSE(source.cancel());
+  EventHandle target = sim.schedule_at(4.0, [] {});
+  target = std::move(moved);  // drops target's reference to the 4.0 event
+  EXPECT_FALSE(moved.pending());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(target.time(), 2.0);
+  EXPECT_TRUE(target.cancel());
+  EXPECT_EQ(sim.pending_events(), 1u);  // the 4.0 event is still scheduled
+}
+
+TEST(EventHandle, SelfAssignmentKeepsTheHandle) {
+  Simulator sim;
+  EventHandle handle = sim.schedule_at(1.0, [] {});
+  EventHandle& alias = handle;
+  handle = alias;
+  EXPECT_TRUE(handle.pending());
+  handle = std::move(alias);
+  EXPECT_TRUE(handle.pending());
+  EXPECT_TRUE(handle.cancel());
+  EventHandle inert;
+  EventHandle& inert_alias = inert;
+  inert = inert_alias;
+  inert = std::move(inert_alias);
+  EXPECT_FALSE(inert.pending());
+}
+
+TEST(EventHandle, CopiesOutliveTheSimulator) {
+  EventHandle first;
+  EventHandle second;
+  std::vector<EventHandle> copies;
+  {
+    Simulator sim;
+    first = sim.schedule_at(5.0, [] {});
+    second = first;
+    copies.assign(3, first);
+    copies.push_back(sim.schedule_at(6.0, [] {}));
+  }
+  // Every copy reads the dead simulator as gone, whichever copy goes first.
+  for (EventHandle& copy : copies) {
+    EXPECT_FALSE(copy.pending());
+    EXPECT_FALSE(copy.cancel());
+    EXPECT_EQ(copy.time(), 0.0);
+  }
+  copies.erase(copies.begin());
+  first = EventHandle{};
+  EventHandle third(second);
+  EXPECT_FALSE(third.pending());
+  // A handle of a live simulator can replace one of a dead simulator.
+  Simulator other;
+  second = other.schedule_at(1.0, [] {});
+  EXPECT_TRUE(second.pending());
+  copies.clear();
+  EXPECT_FALSE(third.cancel());
 }
 
 TEST(SimulatorDeath, SchedulingInThePastAborts) {

@@ -4,9 +4,14 @@
 // in test_kernel_equivalence.cpp; these tests hit the queues directly.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <queue>
+#include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "des/queue_policy.hpp"
@@ -16,7 +21,7 @@ namespace dg::des {
 namespace {
 
 QueueEntry entry_at(double time, std::uint64_t sequence) {
-  return QueueEntry{time, sequence, static_cast<std::uint32_t>(sequence), 0};
+  return QueueEntry::make(time, sequence, static_cast<std::uint32_t>(sequence & QueueEntry::kMaxSlot));
 }
 
 /// Drains `queue` and returns the popped (time, sequence) order.
@@ -25,7 +30,7 @@ std::vector<std::pair<double, std::uint64_t>> drain(Q& queue) {
   std::vector<std::pair<double, std::uint64_t>> popped;
   while (!queue.empty()) {
     const QueueEntry& top = queue.top();
-    popped.emplace_back(top.time, top.sequence);
+    popped.emplace_back(top.time(), top.sequence());
     queue.pop();
   }
   return popped;
@@ -68,7 +73,7 @@ TYPED_TEST(QueueBackendTest, SizeCountsAllEntriesAndClearRetainsNothing) {
   EXPECT_EQ(queue.size(), 0u);
   // Reusable after clear().
   queue.push(entry_at(1.0, 100));
-  EXPECT_EQ(queue.top().sequence, 100u);
+  EXPECT_EQ(queue.top().sequence(), 100u);
 }
 
 /// Interleaved pushes and pops through both backends with the same input
@@ -100,9 +105,9 @@ TEST(QueueBackendEquivalence, RandomizedHoldPatternPopsIdentically) {
     ASSERT_FALSE(calendar.empty());
     const QueueEntry& a = heap.top();
     const QueueEntry& b = calendar.top();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.sequence, b.sequence);
-    now = a.time;
+    ASSERT_EQ(a.time(), b.time());
+    ASSERT_EQ(a.sequence(), b.sequence());
+    now = a.time();
     heap.pop();
     calendar.pop();
   };
@@ -143,6 +148,70 @@ TEST(QueueBackendEquivalence, AllEqualTimesThroughSpillAndLadder) {
   const auto want = drain(heap);
   const auto got = drain(calendar);
   EXPECT_EQ(got, want);
+}
+
+/// Both backends against std::priority_queue on (time, sequence) with a
+/// simulator-shaped push/pop mix: many exact time ties, pushes at 0.0 and
+/// -0.0 while the clock is at zero (they compare equal, so sequence decides),
+/// and pushes never earlier than the last pop.
+TEST(QueueBackendEquivalence, MatchesPriorityQueueReference) {
+  using Ref = std::pair<double, std::uint64_t>;
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> reference;
+  FourAryHeapQueue heap;
+  CalendarQueue calendar;
+  std::mt19937_64 rng(8675309);
+  std::uint64_t seq = 0;
+  double now = 0.0;
+  auto push_all = [&](double time) {
+    const QueueEntry entry = entry_at(time, seq);
+    heap.push(entry);
+    calendar.push(entry);
+    reference.emplace(time, seq);
+    ++seq;
+  };
+  auto pop_all = [&] {
+    ASSERT_FALSE(reference.empty());
+    const Ref want = reference.top();
+    reference.pop();
+    ASSERT_EQ(heap.top().sequence(), want.second);
+    ASSERT_EQ(calendar.top().sequence(), want.second);
+    ASSERT_EQ(heap.top().time(), want.first);
+    EXPECT_FALSE(std::signbit(heap.top().time()));  // -0.0 is keyed as +0.0
+    now = want.first;
+    heap.pop();
+    calendar.pop();
+    ASSERT_EQ(heap.size(), reference.size());
+    ASSERT_EQ(calendar.size(), reference.size());
+  };
+  for (int i = 0; i < 300; ++i) push_all(rng() % 2 == 0 ? 0.0 : -0.0);
+  for (int i = 0; i < 300; ++i) push_all(static_cast<double>(rng() % 5));
+  for (int i = 0; i < 40000; ++i) {
+    const std::uint64_t roll = rng() % 16;
+    if (roll < 7 && !reference.empty()) {
+      pop_all();
+    } else if (roll < 11) {
+      push_all(now);  // ties with the front
+    } else if (roll < 15) {
+      push_all(now + static_cast<double>(rng() % 8));  // coarse grid: more ties
+    } else {
+      push_all(now + 1e5 + static_cast<double>(rng() % 1000) / 4.0);
+    }
+  }
+  while (!reference.empty()) pop_all();
+  EXPECT_TRUE(heap.empty());
+  EXPECT_TRUE(calendar.empty());
+}
+
+TEST(QueueEntry, PacksTimeSequenceAndSlot) {
+  const QueueEntry entry = QueueEntry::make(12.5, QueueEntry::kMaxSequence, QueueEntry::kMaxSlot);
+  EXPECT_EQ(entry.time(), 12.5);
+  EXPECT_EQ(entry.sequence(), QueueEntry::kMaxSequence);
+  EXPECT_EQ(entry.slot(), QueueEntry::kMaxSlot);
+  // Time dominates, then sequence; the slot never decides an order.
+  EXPECT_TRUE(queue_earlier(QueueEntry::make(1.0, 9, 0), QueueEntry::make(2.0, 1, 0)));
+  EXPECT_TRUE(queue_earlier(QueueEntry::make(1.0, 1, 7), QueueEntry::make(1.0, 2, 0)));
+  EXPECT_FALSE(queue_earlier(QueueEntry::make(-0.0, 2, 0), QueueEntry::make(0.0, 1, 0)));
+  EXPECT_TRUE(queue_earlier(QueueEntry::make(-0.0, 1, 0), QueueEntry::make(0.0, 2, 0)));
 }
 
 TEST(QueueBackendName, RoundTrips) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <numeric>
 #include <random>
 #include <set>
 #include <tuple>
@@ -300,6 +301,94 @@ TEST_P(BucketModel, LeastReplicatedMatchesOrderedSetReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TaskOrders, BucketModel,
+                         ::testing::Values(TaskOrder::kArrival, TaskOrder::kDescendingWork),
+                         [](const ::testing::TestParamInfo<TaskOrder>& param) {
+                           return param.param == TaskOrder::kArrival ? "Arrival"
+                                                                     : "DescendingWork";
+                         });
+
+/// The same model check on bags large enough that each replica count's
+/// bitset spans several 64-bit words: the cached front word must follow
+/// inserts below it and erases that empty it.
+class MultiWordBucketModel : public ::testing::TestWithParam<TaskOrder> {};
+
+TEST_P(MultiWordBucketModel, LeastReplicatedMatchesOrderedSetReference) {
+  const TaskOrder order = GetParam();
+  using Key = std::tuple<int, double, workload::TaskIndex>;
+  const auto key_of = [order](const TaskState& task, int count) {
+    const double work = order == TaskOrder::kDescendingWork ? -task.work() : 0.0;
+    return Key{count, work, task.index()};
+  };
+  std::mt19937_64 rng(20081014);
+  int max_count = 0;
+  int starts_below_front = 0;
+  for (int round = 0; round < 24; ++round) {
+    std::vector<double> works;
+    const std::size_t n = 65 + rng() % 236;  // 65..300 tasks: 2..5 words
+    for (std::size_t i = 0; i < n; ++i) works.push_back(10.0 * static_cast<double>(1 + rng() % 4));
+    BotState bot(make_spec(works), order);
+    // Each task's position in the bag's order, and so its bit in a bucket.
+    std::vector<std::size_t> by_order(n);
+    std::iota(by_order.begin(), by_order.end(), std::size_t{0});
+    if (order == TaskOrder::kDescendingWork) {
+      std::stable_sort(by_order.begin(), by_order.end(),
+                       [&works](std::size_t a, std::size_t b) { return works[a] > works[b]; });
+    }
+    std::vector<std::size_t> rank(n);
+    for (std::size_t r = 0; r < n; ++r) rank[by_order[r]] = r;
+    std::set<Key> reference;
+    double now = 0.0;
+    for (int step = 0; step < 3000 && !bot.completed(); ++step) {
+      now += 1.0;
+      // The first steps start replicas on the bag's last tasks only, so the
+      // buckets fill from their top words before the uniform picks land
+      // below them.
+      const std::size_t pick = step < 40 ? n - 1 - rng() % 40 : rng() % n;
+      TaskState& task = bot.task(pick);
+      if (task.completed()) continue;
+      const int count = task.running_replicas();
+      const unsigned dice = static_cast<unsigned>(rng() % 100);
+      if (dice < 62 || count == 0) {  // start a replica
+        const auto front = reference.lower_bound(Key{count + 1, -1e300, 0});
+        if (front != reference.end() && std::get<0>(*front) == count + 1 &&
+            rank[pick] / 64 < rank[std::get<2>(*front)] / 64) {
+          ++starts_below_front;
+        }
+        if (count > 0) reference.erase(key_of(task, count));
+        task.on_replica_started(now);
+        bot.after_replica_started(task);
+        reference.insert(key_of(task, count + 1));
+        max_count = std::max(max_count, count + 1);
+      } else if (dice < 92) {  // one replica fails
+        reference.erase(key_of(task, count));
+        task.on_replica_stopped(now);
+        bot.after_replica_stopped(task);
+        if (count > 1) reference.insert(key_of(task, count - 1));
+      } else {  // a replica wins: completion, then every replica stops
+        reference.erase(key_of(task, count));
+        task.mark_completed(now);
+        bot.on_task_completed(task);
+        for (int r = 0; r < count; ++r) {
+          task.on_replica_stopped(now);
+          bot.after_replica_stopped(task);
+        }
+      }
+      const int min_count = reference.empty() ? INT_MAX : std::get<0>(*reference.begin());
+      ASSERT_EQ(bot.min_replicated_count(), min_count) << "round " << round << " step " << step;
+      for (int threshold = 1; threshold <= max_count + 2; ++threshold) {
+        const TaskState* expected = nullptr;
+        if (min_count < threshold) expected = &bot.task(std::get<2>(*reference.begin()));
+        ASSERT_EQ(bot.least_replicated_below(threshold), expected)
+            << "round " << round << " step " << step << " threshold " << threshold;
+      }
+    }
+  }
+  EXPECT_GT(max_count, 2);
+  // Inserts landed in a word below a bucket's cached front word.
+  EXPECT_GT(starts_below_front, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(TaskOrders, MultiWordBucketModel,
                          ::testing::Values(TaskOrder::kArrival, TaskOrder::kDescendingWork),
                          [](const ::testing::TestParamInfo<TaskOrder>& param) {
                            return param.param == TaskOrder::kArrival ? "Arrival"

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/arg_parser.hpp"
+#include "util/binary_io.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -207,6 +208,33 @@ TEST(Logging, EnabledRespectsThreshold) {
   EXPECT_TRUE(logger.enabled(LogLevel::kError));
   EXPECT_FALSE(logger.enabled(LogLevel::kInfo));
   logger.set_level(saved);
+}
+
+TEST(ByteReader, ReadsZeroLengthArrayIntoEmptyVector) {
+  // An empty vector's data() may be null; reading zero elements into it must
+  // neither touch it nor move the cursor.
+  std::vector<std::uint8_t> bytes;
+  put_pod(bytes, std::uint64_t{0});
+  put_pod(bytes, 7.5);
+  ByteReader reader(bytes.data(), bytes.size());
+  const auto count = reader.pod<std::uint64_t>();
+  std::vector<double> values(count);
+  reader.array(values.data(), values.size());
+  EXPECT_TRUE(values.empty());
+  EXPECT_EQ(reader.remaining(), sizeof(double));
+  EXPECT_EQ(reader.pod<double>(), 7.5);
+  EXPECT_TRUE(reader.exhausted());
+  // Zero bytes are still readable at the very end of the input.
+  reader.array(values.data(), 0);
+  EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(ByteReader, ThrowsOnTruncatedArray) {
+  std::vector<std::uint8_t> bytes;
+  put_pod(bytes, 1.0);
+  ByteReader reader(bytes.data(), bytes.size());
+  std::vector<double> values(2);
+  EXPECT_THROW(reader.array(values.data(), values.size()), std::runtime_error);
 }
 
 }  // namespace
