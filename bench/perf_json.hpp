@@ -18,13 +18,14 @@
 
 namespace dg::bench {
 
-/// One benchmark measurement. Schema (stable across PRs — append-only):
+/// One benchmark measurement. Schema (fields are added, and removed only
+/// with the mechanism they measure):
 /// {benchmark, events_per_sec, wall_s, peak_rss_kb, config, seed,
 ///  machines_per_dispatch, transfer_retries, replicas_degraded,
 ///  replications_per_sec, threads, allocs_per_replication, procs,
-///  cache_hit_rate, pool_hit_rate, worker_busy_s, worker_stall_s,
-///  spec_launched, spec_committed, spec_discarded, tails: {turnaround_p50,
-///  turnaround_p95, turnaround_p99, slowdown_p95, slowdown_p99}}.
+///  worker_busy_s, worker_stall_s, spec_launched, spec_committed,
+///  spec_discarded, tails: {turnaround_p50, turnaround_p95, turnaround_p99,
+///  slowdown_p95, slowdown_p99}}.
 /// `benchmark`, `wall_s`, and `config` are always emitted; every other field
 /// is omitted when it holds its zero default, so records stay readable and
 /// suite-specific fields don't show up as meaningless zeros elsewhere. The
@@ -56,15 +57,6 @@ struct PerfRecord {
   /// Sharded-runner records (exp/shard.hpp) only; zero elsewhere. Worker
   /// processes the campaign was sharded across.
   std::uint64_t procs = 0;
-  /// World-realization cache suite (bench/world_cache_throughput.cpp) only;
-  /// zero elsewhere. Fraction of world acquisitions served from a resident
-  /// realization (grid::WorldCacheStats::hit_rate()).
-  double cache_hit_rate = 0;
-  /// Sharded-runner records only; zero elsewhere. Fraction of world
-  /// acquisitions served from the mmap-shared pool, i.e. synthesized by a
-  /// sibling process (grid::WorldCacheStats::pool_hit_rate(), aggregated
-  /// across workers).
-  double pool_hit_rate = 0;
   /// Execution-shape accounting (exp::ExecutionStats) for the runner suites;
   /// zero elsewhere. Summed across lanes (pool workers / worker processes):
   /// busy is time executing replications, stall is time waiting for
@@ -157,8 +149,6 @@ inline void write_perf_json(std::ostream& os, const std::vector<PerfRecord>& rec
     field("threads", r.threads);
     field("allocs_per_replication", r.allocs_per_replication);
     field("procs", r.procs);
-    field("cache_hit_rate", r.cache_hit_rate);
-    field("pool_hit_rate", r.pool_hit_rate);
     field("worker_busy_s", r.worker_busy_s);
     field("worker_stall_s", r.worker_stall_s);
     field("spec_launched", r.spec_launched);

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -67,20 +66,16 @@ void fill_exec_stats(PerfRecord& record, const dg::exp::ExecutionStats& stats) {
 
 /// One timed runner sweep: fixed replication count per cell (no CI loop, so
 /// every path does identical work), returns (replications/s, allocs/rep).
-/// `name` distinguishes the hand-out shape in the record:
-///   baseline   fresh construction, cost-major hand-out
-///   workspace  reusable workspaces, cost-major hand-out
-///   multicell  reusable workspaces, replication-major hand-out (each worker
-///              replays one realized world across every policy cell; PR 7)
+/// `name` distinguishes the runner path in the record:
+///   baseline   fresh construction per replication
+///   workspace  reusable per-worker workspaces
 PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                       std::size_t reps, bool reuse_workspaces, bool multi_cell,
-                       const char* name) {
+                       std::size_t reps, bool reuse_workspaces, const char* name) {
   dg::exp::RunOptions options;
   options.min_replications = reps;
   options.max_replications = reps;
   options.threads = threads;
   options.reuse_workspaces = reuse_workspaces;
-  options.multi_cell_replay = multi_cell;
 
   const std::uint64_t allocs_before = allocs_now();
   Stopwatch timer;
@@ -123,7 +118,7 @@ PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size
 /// (each worker single-threaded) otherwise; results are bit-identical across
 /// all four combinations — only the wall clock moves.
 PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                        std::size_t procs, bool pipeline, const std::string& out_dir) {
+                        std::size_t procs, bool pipeline) {
   dg::exp::RunOptions options;
   options.min_replications = 2;
   options.max_replications = 4;
@@ -149,12 +144,9 @@ PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::siz
   } else {
     dg::exp::ShardOptions shard;
     shard.procs = procs;
-    shard.pool_dir = out_dir + "/replication_throughput.worldpool";
-    std::filesystem::remove_all(shard.pool_dir);
     dg::exp::ShardedRunner runner(options, shard);
     const auto results = runner.run(cells);
     record.wall_s = timer.seconds();
-    std::filesystem::remove_all(shard.pool_dir);
     for (const dg::exp::CellResult& cell : results) {
       replications += cell.replications;
       events += cell.events_executed;
@@ -164,7 +156,6 @@ PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::siz
         std::string("replication/campaign/") + (pipeline ? "pipelined" : "barrier");
     record.threads = 1;
     record.procs = procs;
-    record.pool_hit_rate = runner.worker_cache_stats().pool_hit_rate();
   }
   record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
                   std::to_string(cells.front().config.workload.num_bots) +
@@ -182,32 +173,21 @@ PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::siz
 }
 
 /// One timed ShardedRunner sweep at `procs` worker processes (each worker
-/// single-threaded), sharing worlds through a fresh mmap pool under
-/// `out_dir`. The pool starts cold per sweep point, so pool_hit_rate
-/// measures cross-process sharing *within* the run: every world is
-/// synthesized by exactly one worker and mapped by the others.
+/// single-threaded).
 PerfRecord timed_sharded_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size_t procs,
-                               std::size_t reps, const std::string& out_dir) {
+                               std::size_t reps) {
   dg::exp::RunOptions options;
   options.min_replications = reps;
   options.max_replications = reps;
   options.threads = 1;
-  // Cost-major hand-out: replication-major grouping would hand each world's
-  // entire cell set to one worker (a replication group is never split), so no
-  // world would ever cross a process boundary and pool_hit_rate would read 0
-  // by construction. Results are bit-identical either way.
-  options.multi_cell_replay = false;
 
   dg::exp::ShardOptions shard;
   shard.procs = procs;
-  shard.pool_dir = out_dir + "/replication_throughput.worldpool";
-  std::filesystem::remove_all(shard.pool_dir);
 
   Stopwatch timer;
   dg::exp::ShardedRunner runner(options, shard);
   const auto results = runner.run(cells);
   const double wall = timer.seconds();
-  std::filesystem::remove_all(shard.pool_dir);
 
   std::size_t replications = 0;
   std::uint64_t events = 0;
@@ -215,26 +195,22 @@ PerfRecord timed_sharded_sweep(const std::vector<dg::exp::NamedConfig>& cells, s
     replications += cell.replications;
     events += cell.events_executed;
   }
-  const dg::grid::WorldCacheStats stats = runner.worker_cache_stats();
 
   PerfRecord record;
   record.benchmark = "replication/throughput/sharded";
   record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
                   std::to_string(cells.front().config.workload.num_bots) + ", reps=" +
-                  std::to_string(reps) + ", mmap pool, cost-major";
+                  std::to_string(reps);
   record.procs = procs;
   record.threads = 1;
   record.wall_s = wall;
   record.replications_per_sec =
       wall > 0.0 ? static_cast<double>(replications) / wall : 0.0;
   record.events_per_sec = wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
-  record.cache_hit_rate = stats.hit_rate();
-  record.pool_hit_rate = stats.pool_hit_rate();
   record.peak_rss_kb = dg::bench::peak_rss_kb();
   fill_exec_stats(record, runner.exec_stats());
-  std::printf("  %-34s %2zu prc  %8.1f reps/s  pool hits %5.1f%%  (%.2f s)\n",
-              record.benchmark.c_str(), procs, record.replications_per_sec,
-              100.0 * record.pool_hit_rate, wall);
+  std::printf("  %-34s %2zu prc  %8.1f reps/s  (%.2f s)\n", record.benchmark.c_str(), procs,
+              record.replications_per_sec, wall);
   return record;
 }
 
@@ -312,16 +288,12 @@ int main(int argc, char** argv) {
 
   std::vector<PerfRecord> records;
   for (const std::size_t threads : thread_counts) {
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/false,
-                                  /*multi_cell=*/false, "baseline"));
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true,
-                                  /*multi_cell=*/false, "workspace"));
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true,
-                                  /*multi_cell=*/true, "multicell"));
+    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/false, "baseline"));
+    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true, "workspace"));
   }
 
-  // Process-count axis (PR 9): the same campaign sharded across forked
-  // worker processes with an mmap-shared world pool. DGSCHED_PROCS overrides
+  // Process-count axis: the same campaign sharded across forked worker
+  // processes. DGSCHED_PROCS overrides
   // the top of the ladder; the default reaches 4 even on smaller machines so
   // the 4-vs-1 scaling row always exists (oversubscribed on fewer cores).
   std::vector<std::size_t> proc_counts;
@@ -332,19 +304,19 @@ int main(int argc, char** argv) {
   proc_counts.push_back(top_procs);
   std::cout << "sharded (multi-process) throughput: procs 1.." << top_procs << "\n";
   for (const std::size_t procs : proc_counts) {
-    records.push_back(timed_sharded_sweep(cells, procs, reps, out_dir));
+    records.push_back(timed_sharded_sweep(cells, procs, reps));
   }
 
-  // Pipelined-vs-barrier axis (PR 10): the multi-round precision loop where
+  // Pipelined-vs-barrier axis: the multi-round precision loop where
   // the barrier scheduler drains at every round boundary. Threaded at the
   // top thread count, sharded across the process ladder; CI asserts the
   // pipelined 4-process campaign is at least as fast as the barrier one.
   std::cout << "pipelined vs barrier (multi-round precision loop):\n";
-  records.push_back(timed_rounds(cells, top, 0, /*pipeline=*/false, out_dir));
-  records.push_back(timed_rounds(cells, top, 0, /*pipeline=*/true, out_dir));
+  records.push_back(timed_rounds(cells, top, 0, /*pipeline=*/false));
+  records.push_back(timed_rounds(cells, top, 0, /*pipeline=*/true));
   for (const std::size_t procs : proc_counts) {
-    records.push_back(timed_rounds(cells, 1, procs, /*pipeline=*/false, out_dir));
-    records.push_back(timed_rounds(cells, 1, procs, /*pipeline=*/true, out_dir));
+    records.push_back(timed_rounds(cells, 1, procs, /*pipeline=*/false));
+    records.push_back(timed_rounds(cells, 1, procs, /*pipeline=*/true));
   }
 
   for (PerfRecord& record : steady_state_allocs()) records.push_back(record);

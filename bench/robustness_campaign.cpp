@@ -18,24 +18,23 @@
 //                              utilization): min / median / max / mean /
 //                              stddev / cv / max-over-min.
 //
-// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_BATCH /
-// DGSCHED_MULTI_CELL / DGSCHED_WORLD_CACHE — CI runs the smoke grid twice
-// under different shapes and diffs the files byte for byte.
+// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_BATCH —
+// CI runs the smoke grid twice under different shapes and diffs the files
+// byte for byte.
 //
 // With DGSCHED_PROCS set, the risk-cliff grid runs through the
 // multi-process ShardedRunner instead of the in-process ExperimentRunner:
-// cells shard across forked workers that share synthesized worlds through
-// an mmap pool, and every completed replication is journaled so a killed
-// campaign resumes from the journal (exp/shard.hpp). Output stays
-// byte-identical to the single-process run — CI's shard-smoke job kills a
-// 2-worker campaign mid-flight, resumes it, and diffs against the
-// 1-process reference. The journal and pool live next to the outputs and
-// are removed on successful completion unless --keep-journal is passed.
+// cells shard across forked workers, and every completed replication is
+// journaled so a killed campaign resumes from the journal (exp/shard.hpp).
+// Output stays byte-identical to the single-process run — CI's shard-smoke
+// job kills a 2-worker campaign mid-flight, resumes it, and diffs against
+// the 1-process reference. The journal lives next to the outputs and is
+// removed on successful completion unless --keep-journal is passed.
 //
 // Usage: ./robustness_campaign [output_dir] [--keep-journal]   # default: cwd
 // Env:   DGSCHED_CAMPAIGN_GRID=smoke|full, DGSCHED_CAMPAIGN_SEEDS=N,
 //        DGSCHED_ADVERSARY=0|1, DGSCHED_BOTS=N, DGSCHED_PROCS=N,
-//        DGSCHED_JOURNAL=path, DGSCHED_POOL=dir, plus the usual runner knobs.
+//        DGSCHED_JOURNAL=path, plus the usual runner knobs.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -145,12 +144,11 @@ int main(int argc, char** argv) {
   }
   const exp::RunOptions options = exp::RunOptions::from_env();
   const exp::CampaignOptions campaign = exp::CampaignOptions::from_env();
-  // DGSCHED_PROCS selects the multi-process path; journal and pool default
-  // next to the outputs (override with DGSCHED_JOURNAL / DGSCHED_POOL).
+  // DGSCHED_PROCS selects the multi-process path; the journal defaults next
+  // to the outputs (override with DGSCHED_JOURNAL).
   const bool sharded = exp::env_size("DGSCHED_PROCS").has_value();
   exp::ShardOptions shard = exp::ShardOptions::from_env();
   if (shard.journal_path.empty()) shard.journal_path = out_dir + "/robustness_campaign.journal";
-  if (shard.pool_dir.empty()) shard.pool_dir = out_dir + "/robustness_campaign.worldpool";
 
   exp::CampaignAxes axes = campaign.smoke ? exp::CampaignAxes::smoke() : exp::CampaignAxes{};
   axes.num_bots = exp::env_num_bots().value_or(axes.num_bots);
@@ -188,10 +186,8 @@ int main(int argc, char** argv) {
     exp::ShardedRunner runner(options, shard);
     results = runner.run(named);
     exec = runner.exec_stats();
-    const grid::WorldCacheStats stats = runner.worker_cache_stats();
     std::cout << "sharded: " << runner.recovered_replications()
-              << " replications resumed from journal, pool hit rate "
-              << 100.0 * stats.pool_hit_rate() << "%\n";
+              << " replications resumed from journal\n";
   } else {
     exp::ExperimentRunner runner(options);
     results = runner.run(named);
@@ -271,13 +267,12 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << out_dir << "/robustness_heatmap.csv, robustness_seeds.csv, "
             << "robustness_campaign.json\n";
 
-  // The campaign completed and its outputs are on disk: the journal (and the
-  // world pool it shared) have served their purpose. --keep-journal retains
-  // them, e.g. to rerun with more seeds or inspect the records.
+  // The campaign completed and its outputs are on disk: the journal has
+  // served its purpose. --keep-journal retains it, e.g. to rerun with more
+  // seeds or inspect the records.
   if (sharded && !keep_journal) {
     std::error_code ec;
     std::filesystem::remove(shard.journal_path, ec);
-    std::filesystem::remove_all(shard.pool_dir, ec);
   }
   return 0;
 }

@@ -15,7 +15,7 @@
 // reuses exp::ExperimentRunner (post-barrier build-order folds), and the
 // seed-sensitivity fan-out writes into preallocated per-seed slots folded in
 // ascending seed index — results are bit-identical across DGSCHED_THREADS /
-// DGSCHED_BATCH / DGSCHED_MULTI_CELL / world-cache on-off.
+// DGSCHED_BATCH / DGSCHED_PROCS.
 #pragma once
 
 #include <cstdint>
@@ -127,8 +127,7 @@ struct SeedSpreadReport {
 /// Runs `config` once per seed (num_seeds >= 2, else std::invalid_argument)
 /// across options.threads workers, one reusable workspace per worker, and
 /// folds the spread in ascending seed index — bit-identical for any thread
-/// count. options.base_seed anchors the seed sequence; the cell's own
-/// world_cache setting is honored per run.
+/// count. options.base_seed anchors the seed sequence.
 [[nodiscard]] SeedSpreadReport seed_sensitivity(const sim::SimulationConfig& config,
                                                 const RunOptions& options, std::size_t num_seeds);
 

@@ -13,8 +13,7 @@ PipelineState::PipelineState(const RunOptions& options, std::vector<CellResult>&
       results_(results),
       journal_(journal),
       cells_(results.size()),
-      cost_(results.size(), 0.0),
-      ready_(ReadyOrder{options.multi_cell_replay}) {
+      cost_(results.size(), 0.0) {
   for (std::size_t c = 0; c < results_.size(); ++c) {
     cost_[c] = expected_cost(results_[c].config);
   }
@@ -106,7 +105,7 @@ bool PipelineState::has_ready() {
   return !ready_.empty();
 }
 
-std::vector<PipelineJob> PipelineState::pop_chunk(std::size_t target, bool whole_groups) {
+std::vector<PipelineJob> PipelineState::pop_chunk(std::size_t target) {
   std::vector<PipelineJob> out;
   prune_stale();
   while (out.size() < target && !ready_.empty()) {
@@ -115,19 +114,6 @@ std::vector<PipelineJob> PipelineState::pop_chunk(std::size_t target, bool whole
     out.push_back(PipelineJob{top.cell, top.replication});
     ++in_flight_;
     prune_stale();
-  }
-  if (whole_groups && options_.multi_cell_replay && !out.empty()) {
-    // Finish the current replication group: every queued cell of the last
-    // popped replication index goes to the same worker (one realized world,
-    // one pass).
-    const std::size_t group = out.back().replication;
-    while (!ready_.empty() && ready_.top().replication == group) {
-      const ReadyEntry top = ready_.top();
-      ready_.pop();
-      out.push_back(PipelineJob{top.cell, top.replication});
-      ++in_flight_;
-      prune_stale();
-    }
   }
   return out;
 }

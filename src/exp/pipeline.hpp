@@ -7,8 +7,7 @@
 // shared by the threaded and sharded runners:
 //
 //  * A ready queue of launchable (cell, replication) jobs, ordered the way
-//    the round hand-out used to be (replication-major under multi-cell
-//    replay, largest-expected-cost-first otherwise).
+//    the round hand-out used to be: largest expected cost first, FIFO ties.
 //  * A per-cell reorder buffer: completed summaries may arrive in any order,
 //    but each is folded only when every lower replication of ITS cell has
 //    committed. A CellResult's accumulators see exactly the sequential
@@ -86,12 +85,8 @@ class PipelineState {
   /// True when a launchable job is queued (prunes stale entries first).
   [[nodiscard]] bool has_ready();
 
-  /// Pops up to `target` launchable jobs. When `whole_groups` is set (the
-  /// multi-cell-replay hand-out) the chunk is extended so a replication
-  /// group — every queued cell of the last popped replication index — is
-  /// never split across workers: a group is one realized world walked in
-  /// one pass.
-  [[nodiscard]] std::vector<PipelineJob> pop_chunk(std::size_t target, bool whole_groups);
+  /// Pops up to `target` launchable jobs, largest expected cost first.
+  [[nodiscard]] std::vector<PipelineJob> pop_chunk(std::size_t target);
 
   /// Returns popped-but-undelivered jobs to the queue (worker death).
   void requeue(const std::vector<PipelineJob>& jobs);
@@ -127,17 +122,9 @@ class PipelineState {
     std::size_t cell = 0;
     std::uint64_t seq = 0;
   };
+  /// Max-heap on expected cost, FIFO ties — the historical round order.
   struct ReadyOrder {
-    bool multi_cell;
     bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
-      if (multi_cell) {
-        // Min-heap on (replication, cell): replication-major, cells in build
-        // order within a group — the historical multi-cell round order.
-        if (a.replication != b.replication) return a.replication > b.replication;
-        return a.cell > b.cell;
-      }
-      // Max-heap on expected cost, FIFO ties — the historical cost-major
-      // round order.
       if (a.cost != b.cost) return a.cost < b.cost;
       return a.seq > b.seq;
     }

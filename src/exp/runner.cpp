@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -35,29 +36,30 @@ void bad_env(const char* name, const std::string& text, const char* expected) {
 std::optional<double> env_double(const char* name) {
   const auto text = env_string(name);
   if (!text) return std::nullopt;
+  double value = 0.0;
   try {
     std::size_t consumed = 0;
-    const double value = std::stod(*text, &consumed);
+    value = std::stod(*text, &consumed);
     if (consumed != text->size()) bad_env(name, *text, "a number");
-    return value;
   } catch (const std::invalid_argument&) {
     bad_env(name, *text, "a number");
   } catch (const std::out_of_range&) {
     bad_env(name, *text, "a number in double range");
   }
+  if (!std::isfinite(value)) bad_env(name, *text, "a finite number");
+  return value;
 }
 
 std::optional<std::size_t> env_size(const char* name) {
   const auto text = env_string(name);
   if (!text) return std::nullopt;
-  if (text->front() == '-') bad_env(name, *text, "a non-negative integer");
-  try {
-    std::size_t consumed = 0;
-    const unsigned long long value = std::stoull(*text, &consumed);
-    if (consumed != text->size()) bad_env(name, *text, "a non-negative integer");
-    return static_cast<std::size_t>(value);
-  } catch (const std::invalid_argument&) {
+  // std::stoull alone would skip leading blanks and accept a sign ("-1"
+  // wraps to 2^64 - 1), so insist on a plain run of decimal digits.
+  if (!std::all_of(text->begin(), text->end(), [](char ch) { return ch >= '0' && ch <= '9'; })) {
     bad_env(name, *text, "a non-negative integer");
+  }
+  try {
+    return static_cast<std::size_t>(std::stoull(*text));
   } catch (const std::out_of_range&) {
     bad_env(name, *text, "a non-negative integer in range");
   }
@@ -66,13 +68,14 @@ std::optional<std::size_t> env_size(const char* name) {
 RunOptions RunOptions::from_env(RunOptions defaults) {
   if (auto v = env_size("DGSCHED_MIN_REPS")) defaults.min_replications = *v;
   if (auto v = env_size("DGSCHED_MAX_REPS")) defaults.max_replications = *v;
-  if (auto v = env_double("DGSCHED_TRE")) defaults.target_relative_error = *v;
+  if (auto v = env_double("DGSCHED_TRE")) {
+    if (*v <= 0.0) bad_env("DGSCHED_TRE", *env_string("DGSCHED_TRE"), "a positive number");
+    defaults.target_relative_error = *v;
+  }
   if (auto v = env_size("DGSCHED_THREADS")) defaults.threads = *v;
   if (auto v = env_size("DGSCHED_SEED")) defaults.base_seed = *v;
   if (auto v = env_size("DGSCHED_WORKSPACES")) defaults.reuse_workspaces = *v != 0;
   if (auto v = env_size("DGSCHED_BATCH")) defaults.batch_size = *v;
-  if (auto v = env_size("DGSCHED_WORLD_CACHE")) defaults.world_cache_bytes = *v;
-  if (auto v = env_size("DGSCHED_MULTI_CELL")) defaults.multi_cell_replay = *v != 0;
   if (auto v = env_size("DGSCHED_PIPELINE")) defaults.pipeline = *v != 0;
   if (auto v = env_size("DGSCHED_SPECULATE")) defaults.speculate = *v;
   if (auto text = env_string("DGSCHED_QUEUE")) {
@@ -119,9 +122,6 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
     // Seeds depend only on (base_seed, replication): common random numbers
     // across cells that differ only in scheduling policy.
     config.seed = rng::mix_seed(options_.base_seed, job.replication);
-    // Cells sharing a replication seed replay one cached world realization
-    // (bit-identical to live sampling; null cache = live processes).
-    config.world_cache = world_cache_;
     if (options_.queue_backend.has_value()) config.queue_backend = options_.queue_backend;
     sim::Simulation simulation(std::move(config));
     sim::SimulationWorkspace* workspace = nullptr;
@@ -170,8 +170,7 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
         local.stall_s += seconds_since(wait_start);
       }
       if (error || state.finished()) break;
-      // Pipelined hand-out takes one scheduling unit at a time (a whole
-      // replication group under multi-cell replay) — workers return for more
+      // Pipelined hand-out takes one job at a time — workers return for more
       // the moment they finish, so there is nothing to balance. The barrier
       // shape keeps the historical round batching.
       std::size_t target = 1;
@@ -180,7 +179,7 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
       } else if (!options_.pipeline) {
         target = std::max<std::size_t>(1, state.round_size() / (pool.size() * 4));
       }
-      std::vector<PipelineJob> chunk = state.pop_chunk(target, options_.multi_cell_replay);
+      std::vector<PipelineJob> chunk = state.pop_chunk(target);
       if (chunk.empty()) continue;
       lock.unlock();
       std::exception_ptr failure;
@@ -207,7 +206,13 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
         break;
       }
     }
-    lanes[lane] = local;  // lock is held on every break path
+    // Accumulate, not assign: when one pool thread picks up two of the
+    // submitted loops back to back (the other thread started late), the
+    // second, idle loop must not wipe the first one's counts. The lock is
+    // held on every break path.
+    lanes[lane].busy_s += local.busy_s;
+    lanes[lane].stall_s += local.stall_s;
+    lanes[lane].jobs += local.jobs;
   };
 
   std::vector<std::future<void>> futures;

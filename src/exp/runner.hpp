@@ -9,13 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "des/queue_policy.hpp"
-#include "grid/world_cache.hpp"
 #include "sim/simulation.hpp"
 #include "stats/confidence.hpp"
 
@@ -40,19 +38,6 @@ struct RunOptions {
   /// worker per round). Batching amortizes queue/future overhead without
   /// hurting balance — jobs are handed out largest-expected-cost first.
   std::size_t batch_size = 0;
-  /// Budget (bytes) of the shared world-realization cache: each replication
-  /// seed's availability / server-fault timelines are synthesized once and
-  /// replayed in every policy cell sharing that seed (bit-identical; see
-  /// grid/world_cache.hpp). 0 disables the cache — every replication samples
-  /// its processes live.
-  std::size_t world_cache_bytes = grid::WorldCache::kDefaultBudgetBytes;
-  /// Walk one realized world across every policy cell in a single pass: jobs
-  /// of a round are handed out grouped by replication index (= world-cache
-  /// key), so a worker replays a realization through all its cells while it
-  /// is hot instead of revisiting it once per cell. Results are bit-identical
-  /// either way — the fold happens after the round barrier in build order.
-  /// Off = historical largest-expected-cost-first hand-out.
-  bool multi_cell_replay = true;
   /// DES event-queue backend forced on every cell; nullopt keeps each cell's
   /// own setting (usually the DGSCHED_QUEUE CMake/env default). Backends are
   /// bit-identical (see des/queue_policy.hpp).
@@ -71,8 +56,9 @@ struct RunOptions {
   std::size_t speculate = 1;
 
   /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,WORKSPACES,BATCH,
-  /// WORLD_CACHE,MULTI_CELL,QUEUE,PIPELINE,SPECULATE} overrides. Malformed
-  /// values raise std::invalid_argument naming the offending variable.
+  /// QUEUE,PIPELINE,SPECULATE} overrides. Malformed values (including a
+  /// non-positive DGSCHED_TRE) raise std::invalid_argument naming the
+  /// offending variable.
   [[nodiscard]] static RunOptions from_env(RunOptions defaults);
   [[nodiscard]] static RunOptions from_env() { return from_env(RunOptions{}); }
 };
@@ -83,7 +69,9 @@ struct RunOptions {
 // Environment-knob helpers shared by the figure and campaign drivers: read a
 // DGSCHED_* variable, returning nullopt when unset/empty. Malformed values
 // raise std::invalid_argument naming the variable and the offending text —
-// the same convention RunOptions::from_env follows.
+// the same convention RunOptions::from_env follows. env_size accepts only a
+// plain run of decimal digits (no sign, no blanks); env_double accepts only
+// finite numbers.
 [[nodiscard]] std::optional<std::string> env_string(const char* name);
 [[nodiscard]] std::optional<double> env_double(const char* name);
 [[nodiscard]] std::optional<std::size_t> env_size(const char* name);
@@ -180,33 +168,21 @@ struct CellResult {
 /// speculation window, batch shape, or thread count.
 class ExperimentRunner {
  public:
-  explicit ExperimentRunner(RunOptions options)
-      : options_(options),
-        world_cache_(options.world_cache_bytes > 0
-                         ? std::make_shared<grid::WorldCache>(options.world_cache_bytes)
-                         : nullptr) {}
+  explicit ExperimentRunner(RunOptions options) : options_(options) {}
 
   /// Runs every cell to its precision target; cell order is preserved.
   /// Replication `i` of every cell uses seed mix_seed(base_seed, i) —
   /// deliberately independent of the cell, so cells are compared under
-  /// common random numbers (and share one cached world realization when the
-  /// world cache is on).
+  /// common random numbers: every policy cell samples the same world.
   [[nodiscard]] std::vector<CellResult> run(const std::vector<NamedConfig>& cells);
 
   [[nodiscard]] const RunOptions& options() const noexcept { return options_; }
-
-  /// The runner's world-realization cache; null when world_cache_bytes == 0.
-  /// Shared across run() calls, so hit-rate statistics accumulate.
-  [[nodiscard]] const std::shared_ptr<grid::WorldCache>& world_cache() const noexcept {
-    return world_cache_;
-  }
 
   /// Execution-shape accounting for the most recent run().
   [[nodiscard]] const ExecutionStats& exec_stats() const noexcept { return exec_stats_; }
 
  private:
   RunOptions options_;
-  std::shared_ptr<grid::WorldCache> world_cache_;
   ExecutionStats exec_stats_;
 };
 

@@ -23,7 +23,6 @@
 #include "exp/journal.hpp"
 #include "exp/pipeline.hpp"
 #include "exp/replication_summary.hpp"
-#include "grid/world_pool.hpp"
 #include "rng/splitmix64.hpp"
 #include "sim/workspace.hpp"
 #include "util/binary_io.hpp"
@@ -50,8 +49,7 @@ namespace {
 //                     slot; size > 0 carries it inline (no slot was
 //                     assigned, or the summary outgrew the slot).
 //   kShutdown   C->W  (empty) — worker replies kStats and exits
-//   kStats      W->C  8 x u64 WorldCacheStats counters, busy_ns u64,
-//                     jobs u64
+//   kStats      W->C  busy_ns u64 | jobs u64
 // ---------------------------------------------------------------------------
 
 enum MsgType : std::uint32_t {
@@ -61,9 +59,9 @@ enum MsgType : std::uint32_t {
   kStats = 4,
 };
 
-constexpr std::size_t kStatsWords = 10;
+constexpr std::size_t kStatsWords = 2;
 /// Upper bound on adaptive chunk size (jobs per kAssign); the ring is sized
-/// so two chunks of this size plus a whole replication group always fit.
+/// so two chunks of this size always fit.
 constexpr std::size_t kChunkCap = 32;
 
 struct MsgHeader {
@@ -132,16 +130,9 @@ struct MsgHeader {
 // ---------------------------------------------------------------------------
 
 [[noreturn]] void worker_main(int fd, const RunOptions& options,
-                              const std::vector<NamedConfig>& cells, const std::string& pool_dir,
-                              std::size_t kill_after_jobs, util::ShmRing* ring) {
+                              const std::vector<NamedConfig>& cells, std::size_t kill_after_jobs,
+                              util::ShmRing* ring) {
   try {
-    std::shared_ptr<grid::WorldCache> world_cache;
-    if (options.world_cache_bytes > 0) {
-      world_cache = std::make_shared<grid::WorldCache>(options.world_cache_bytes);
-      if (!pool_dir.empty()) {
-        world_cache->attach_pool(std::make_shared<grid::WorldPool>(pool_dir));
-      }
-    }
     std::unique_ptr<sim::SimulationWorkspace> workspace;
     std::size_t jobs_run = 0;
     std::uint64_t busy_ns = 0;
@@ -153,17 +144,7 @@ struct MsgHeader {
     for (;;) {
       if (!read_msg(fd, header, payload)) std::_Exit(0);  // coordinator gone
       if (header.type == kShutdown) {
-        const grid::WorldCacheStats stats =
-            world_cache != nullptr ? world_cache->stats() : grid::WorldCacheStats{};
         std::vector<std::uint8_t> wire;
-        util::put_pod(wire, stats.hits);
-        util::put_pod(wire, stats.misses);
-        util::put_pod(wire, stats.extensions);
-        util::put_pod(wire, stats.pool_hits);
-        util::put_pod(wire, stats.evictions);
-        util::put_pod(wire, static_cast<std::uint64_t>(stats.entries));
-        util::put_pod(wire, static_cast<std::uint64_t>(stats.bytes));
-        util::put_pod(wire, static_cast<std::uint64_t>(stats.peak_bytes));
         util::put_pod(wire, busy_ns);
         util::put_pod(wire, static_cast<std::uint64_t>(jobs_run));
         (void)send_msg(fd, kStats, wire.data(), wire.size());
@@ -189,7 +170,6 @@ struct MsgHeader {
         // Seeds depend only on (base_seed, replication): common random
         // numbers across cells — identical to the threaded runner.
         config.seed = rng::mix_seed(options.base_seed, replication);
-        config.world_cache = world_cache;
         if (options.queue_backend.has_value()) config.queue_backend = options.queue_backend;
         sim::Simulation simulation(std::move(config));
         ReplicationSummary summary;
@@ -238,12 +218,15 @@ struct MsgHeader {
 ShardOptions ShardOptions::from_env(ShardOptions defaults) {
   if (auto v = env_size("DGSCHED_PROCS")) defaults.procs = *v;
   if (auto v = env_string("DGSCHED_JOURNAL")) defaults.journal_path = *v;
-  if (auto v = env_string("DGSCHED_POOL")) defaults.pool_dir = *v;
   if (auto v = env_size("DGSCHED_JOURNAL_FSYNC")) defaults.fsync_journal = *v != 0;
   if (auto v = env_size("DGSCHED_SHARD_ABORT_AFTER")) defaults.abort_after_appends = *v;
   if (auto text = env_string("DGSCHED_SHARD_SELF_KILL")) {
+    // Digits and the colon only: std::stoull would skip blanks and wrap a
+    // "-1" worker to SIZE_MAX, which silently disables the injection.
+    const bool digits = std::all_of(text->begin(), text->end(),
+                                    [](char ch) { return (ch >= '0' && ch <= '9') || ch == ':'; });
     const std::size_t colon = text->find(':');
-    bool ok = colon != std::string::npos && colon > 0 && colon + 1 < text->size();
+    bool ok = digits && colon != std::string::npos && colon > 0 && colon + 1 < text->size();
     if (ok) {
       try {
         std::size_t used_a = 0;
@@ -262,7 +245,6 @@ ShardOptions ShardOptions::from_env(ShardOptions defaults) {
 }
 
 std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells) {
-  worker_stats_ = grid::WorldCacheStats{};
   recovered_ = 0;
   exec_stats_ = ExecutionStats{};
 
@@ -334,9 +316,9 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
   // Per-worker shared-memory rings (created lazily at first spawn — always
   // before that worker's fork, so every incarnation inherits the mapping)
   // and their coordinator-side free-slot lists. Sized for two max-size
-  // chunks plus a whole replication group; an exhausted free list just
-  // degrades that job to inline socket transport.
-  const std::size_t ring_slots = 2 * (kChunkCap + cells.size());
+  // chunks; an exhausted free list (a larger fixed batch) just degrades that
+  // job to inline socket transport.
+  const std::size_t ring_slots = 2 * kChunkCap;
   const std::size_t ring_capacity = ring_payload_capacity();
   std::vector<std::unique_ptr<util::ShmRing>> rings(procs);
   std::vector<std::vector<std::uint32_t>> free_slots(procs);
@@ -370,7 +352,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
       for (const Worker& other : workers) {
         if (other.fd >= 0) ::close(other.fd);
       }
-      worker_main(sv[1], options_, cells, shard_.pool_dir, kill_after, rings[w].get());
+      worker_main(sv[1], options_, cells, kill_after, rings[w].get());
     }
     ::close(sv[1]);
     workers[w].pid = pid;
@@ -447,7 +429,7 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
         if (!workers[w].alive) spawn(w);
         Chunk chunk;
         chunk.id = next_chunk_id++;
-        chunk.jobs = state.pop_chunk(chunk_target(), options_.multi_cell_replay);
+        chunk.jobs = state.pop_chunk(chunk_target());
         if (chunk.jobs.empty()) break;
         chunk.slots.reserve(chunk.jobs.size());
         wire.clear();
@@ -556,10 +538,9 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
     }
   }
 
-  // Shutdown: collect every worker's cache stats (the cross-process
-  // pool_hit_rate) and execution-lane accounting, then reap. A lane whose
-  // worker was respawned reports only the surviving incarnation (a killed
-  // worker's counters die with it).
+  // Shutdown: collect every worker's execution-lane accounting, then reap.
+  // A lane whose worker was respawned reports only the surviving incarnation
+  // (a killed worker's counters die with it).
   exec_stats_.lanes.assign(procs, WorkerLaneStats{});
   for (std::size_t w = 0; w < procs; ++w) {
     Worker& worker = workers[w];
@@ -568,16 +549,6 @@ std::vector<CellResult> ShardedRunner::run(const std::vector<NamedConfig>& cells
     if (send_msg(worker.fd, kShutdown, nullptr, 0) && read_msg(worker.fd, header, payload) &&
         header.type == kStats && payload.size() == kStatsWords * sizeof(std::uint64_t)) {
       util::ByteReader reader(payload.data(), payload.size());
-      grid::WorldCacheStats stats;
-      stats.hits = reader.pod<std::uint64_t>();
-      stats.misses = reader.pod<std::uint64_t>();
-      stats.extensions = reader.pod<std::uint64_t>();
-      stats.pool_hits = reader.pod<std::uint64_t>();
-      stats.evictions = reader.pod<std::uint64_t>();
-      stats.entries = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-      stats.bytes = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-      stats.peak_bytes = static_cast<std::size_t>(reader.pod<std::uint64_t>());
-      worker_stats_.merge(stats);
       exec_stats_.lanes[w].busy_s = static_cast<double>(reader.pod<std::uint64_t>()) * 1e-9;
       exec_stats_.lanes[w].jobs = reader.pod<std::uint64_t>();
     }

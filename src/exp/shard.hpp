@@ -3,10 +3,10 @@
 // ShardedRunner is ExperimentRunner's process-level sibling: it draws the
 // same (cell, replication) jobs from the shared PipelineState
 // (exp/pipeline.hpp), but instead of fanning them out over an in-process
-// thread pool it forks N worker processes and hands out replication-group-
-// aligned chunks over per-worker UNIX socket pairs. Each worker runs its
-// jobs sequentially through a private SimulationWorkspace and a private
-// WorldCache, reduces every replication to a ReplicationSummary, and ships
+// thread pool it forks N worker processes and hands out chunks of jobs over
+// per-worker UNIX socket pairs. Each worker runs its jobs sequentially
+// through a private SimulationWorkspace, sampling every replication's world
+// live, reduces every replication to a ReplicationSummary, and ships
 // the summaries back; the coordinator feeds them through the pipeline's
 // ordered per-cell commit — the exact fold sequence of the threaded runner —
 // so the merged CellResults are bit-identical to a single-process run for
@@ -26,11 +26,7 @@
 // Why processes at all: address-space isolation (one crashed replication
 // loses a chunk, not the campaign — the coordinator re-queues it and forks
 // a replacement worker) and the path past one process's allocator/thread
-// scaling. What makes it affordable is the mmap world pool
-// (grid/world_pool.hpp): workers attach their caches to a shared pool
-// directory, so each replication's world is synthesized by exactly one
-// process and mapped by its siblings, the cross-process analogue of the
-// threaded runner's shared WorldCache.
+// scaling.
 //
 // Fault tolerance is layered:
 //   worker death   — the coordinator detects EOF, reaps the child, re-queues
@@ -49,10 +45,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "grid/world_cache.hpp"
 
 namespace dg::exp {
 
@@ -63,9 +59,6 @@ struct ShardOptions {
   std::size_t procs = 1;
   /// Completion-journal path; empty = no journal (no resume).
   std::string journal_path;
-  /// mmap world-pool directory shared by the workers; empty = no pool (each
-  /// worker synthesizes its own worlds).
-  std::string pool_dir;
   /// fsync the journal after every received chunk (the durability the resume
   /// contract assumes). Off trades crash-window durability for speed.
   bool fsync_journal = true;
@@ -81,9 +74,9 @@ struct ShardOptions {
   std::size_t self_kill_worker = static_cast<std::size_t>(-1);
   std::size_t self_kill_jobs = 0;
 
-  /// Reads DGSCHED_PROCS, DGSCHED_JOURNAL (path), DGSCHED_POOL (directory),
-  /// DGSCHED_JOURNAL_FSYNC (0 disables), DGSCHED_SHARD_ABORT_AFTER (count),
-  /// and DGSCHED_SHARD_SELF_KILL ("worker:jobs"). Same conventions as
+  /// Reads DGSCHED_PROCS, DGSCHED_JOURNAL (path), DGSCHED_JOURNAL_FSYNC
+  /// (0 disables), DGSCHED_SHARD_ABORT_AFTER (count), and
+  /// DGSCHED_SHARD_SELF_KILL ("worker:jobs"). Same conventions as
   /// RunOptions::from_env.
   [[nodiscard]] static ShardOptions from_env(ShardOptions defaults);
   [[nodiscard]] static ShardOptions from_env() { return from_env(ShardOptions{}); }
@@ -96,7 +89,7 @@ class ShardedRunner {
 
   /// Runs every cell to its precision target, exactly like
   /// ExperimentRunner::run and bit-identical to it. Forks workers on entry,
-  /// shuts them down (collecting their cache stats) before returning. Not
+  /// shuts them down (collecting their lane stats) before returning. Not
   /// re-entrant; must be called from a process where forking is safe (the
   /// coordinator itself creates no threads).
   [[nodiscard]] std::vector<CellResult> run(const std::vector<NamedConfig>& cells);
@@ -104,12 +97,6 @@ class ShardedRunner {
   [[nodiscard]] const RunOptions& options() const noexcept { return options_; }
   [[nodiscard]] const ShardOptions& shard_options() const noexcept { return shard_; }
 
-  /// Aggregated WorldCache stats across all worker processes of the last
-  /// run() (merged via WorldCacheStats::merge) — the source of the
-  /// cross-process pool_hit_rate surfaced in perf JSON.
-  [[nodiscard]] const grid::WorldCacheStats& worker_cache_stats() const noexcept {
-    return worker_stats_;
-  }
   /// Replications served from the journal instead of dispatched, last run().
   [[nodiscard]] std::uint64_t recovered_replications() const noexcept { return recovered_; }
 
@@ -121,7 +108,6 @@ class ShardedRunner {
  private:
   RunOptions options_;
   ShardOptions shard_;
-  grid::WorldCacheStats worker_stats_{};
   std::uint64_t recovered_ = 0;
   ExecutionStats exec_stats_;
 };

@@ -79,16 +79,6 @@ class DesktopGrid final : public MachineAvailabilityListener {
   /// on each failure/repair. Call once, before running the simulation.
   void start(TransitionCallback on_failure, TransitionCallback on_repair);
 
-  /// Starts only the correlated-outage process — for runs whose per-machine
-  /// availability is replayed by an external driver (a recorded trace or a
-  /// grid::RealizedAvailabilityDriver) instead of the live processes.
-  void start_outages(TransitionCallback on_failure, TransitionCallback on_repair);
-
-  /// Starts only the per-machine availability processes — for runs whose
-  /// correlated outages are replayed by a grid::RealizedOutageDriver instead
-  /// of the live OutageProcess. start() == start_machines() + start_outages().
-  void start_machines(TransitionCallback on_failure, TransitionCallback on_repair);
-
   [[nodiscard]] std::size_t size() const noexcept { return machines_.size(); }
   [[nodiscard]] Machine& machine(std::size_t i) { return machines_[i]; }
   [[nodiscard]] const Machine& machine(std::size_t i) const { return machines_[i]; }

@@ -1,12 +1,12 @@
 // Non-owning machine-transition callback: a (context, function-pointer) pair.
 //
-// Every availability source (AvailabilityProcess, OutageProcess, the trace
-// and world-realization replay drivers) reports up/down edges through one of
-// these. The previous std::function<void(Machine&)> carried type-erasure
-// dispatch and potential heap allocation into the per-transition hot path;
-// a delegate is two words, trivially copyable, and calls through a plain
-// function pointer. It does NOT own its target — the bound object or callable
-// must outlive the delegate (in practice: the ExecutionEngine or a test-local
+// Every availability source (AvailabilityProcess, OutageProcess, trace
+// replay from grid/trace.hpp) reports up/down edges through one of these.
+// The previous std::function<void(Machine&)> carried type-erasure dispatch
+// and potential heap allocation into the per-transition hot path; a delegate
+// is two words, trivially copyable, and calls through a plain function
+// pointer. It does NOT own its target — the bound object or callable must
+// outlive the delegate (in practice: the ExecutionEngine or a test-local
 // lambda, both of which outlive the simulation run).
 #pragma once
 

@@ -19,17 +19,10 @@ ExecutionEngine::ExecutionEngine(des::Simulator& sim, grid::DesktopGrid& grid,
   if (config_.server_faults.enabled) {
     DG_ASSERT_MSG(config_.failable_server,
                   "a stochastic server fault model requires the failable-server path");
-    if (config_.world != nullptr) {
-      // Replay the cached outage timeline — recorded from the same
-      // "ckpt_server.faults" stream the live process would have consumed.
-      server_replay_.emplace(sim_, grid_.checkpoint_server(), *config_.world);
-      server_replay_->start([this] { on_server_down(); }, [this] { on_server_up(); });
-    } else {
-      fault_process_ = std::make_unique<grid::CheckpointServerFaultProcess>(
-          sim_, grid_.checkpoint_server(), config_.server_faults,
-          rng::RandomStream::derive(seed, "ckpt_server.faults"));
-      fault_process_->start([this] { on_server_down(); }, [this] { on_server_up(); });
-    }
+    fault_process_ = std::make_unique<grid::CheckpointServerFaultProcess>(
+        sim_, grid_.checkpoint_server(), config_.server_faults,
+        rng::RandomStream::derive(seed, "ckpt_server.faults"));
+    fault_process_->start([this] { on_server_down(); }, [this] { on_server_up(); });
   }
   if (!config_.server_down_windows.empty()) {
     DG_ASSERT_MSG(config_.failable_server,

@@ -33,12 +33,10 @@
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
-#include <optional>
 #include <vector>
 
 #include "des/simulator.hpp"
 #include "grid/desktop_grid.hpp"
-#include "grid/realization.hpp"
 #include "rng/random_stream.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/fault_tolerance.hpp"
@@ -68,10 +66,6 @@ struct EngineConfig {
   /// server's down-cause counting. Requires failable_server. Windows must be
   /// sorted ascending with end > start.
   std::vector<grid::StressWindow> server_down_windows;
-  /// When set (by Simulation, from the world-realization cache), the server
-  /// outage timeline is replayed from this realization instead of sampling
-  /// the live fault process — bit-identical (see grid/realization.hpp).
-  std::shared_ptr<const grid::WorldRealization> world;
 };
 
 class ExecutionEngine final : public sched::DispatchSink {
@@ -199,9 +193,6 @@ class ExecutionEngine final : public sched::DispatchSink {
   std::pmr::vector<Replica> replicas_;  // indexed by machine id; task==nullptr = idle
   std::vector<SimulationObserver*> observers_;
   std::unique_ptr<grid::CheckpointServerFaultProcess> fault_process_;
-  /// Replay alternative to fault_process_ (exactly one of the two drives the
-  /// server when config_.server_faults is enabled).
-  std::optional<grid::RealizedServerFaultDriver> server_replay_;
   FaultStats faults_;
 
   std::uint64_t checkpoints_saved_ = 0;

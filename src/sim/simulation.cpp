@@ -8,8 +8,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "grid/realization.hpp"
-
 #include "des/simulator.hpp"
 #include "grid/checkpoint_server.hpp"
 #include "sched/policies.hpp"
@@ -134,8 +132,7 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   // --- workload ---
   // Generated before any component schedules events (generation only draws
   // from the "workload" stream, it schedules nothing) because the horizon —
-  // which the world-realization cache keys its synthesis length on — depends
-  // on the last arrival.
+  // which sizes the tail-metric columns below — depends on the last arrival.
   std::vector<workload::BotSpec>& specs = workspace.specs();
   if (config_.trace_bots != nullptr) {
     specs = *config_.trace_bots;
@@ -168,19 +165,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
     }
     const double demand_per_bot = bag_size / workload::effective_grid_power(config_.grid);
     horizon = last_arrival + 300.0 * demand_per_bot + 86400.0;
-  }
-
-  // --- world realization ---
-  // With a cache installed, the availability / server-fault timelines are
-  // synthesized once per (models, machine count, seed) and replayed below —
-  // bit-identical to the live processes (see grid/realization.hpp).
-  std::shared_ptr<const grid::WorldRealization> world;
-  if (config_.world_cache != nullptr && !trace_driven_grid &&
-      (grid_config.availability.failures_enabled ||
-       config_.grid.checkpoint_server_faults.enabled || grid_config.outages.enabled)) {
-    world = config_.world_cache->acquire(grid_config.availability,
-                                         config_.grid.checkpoint_server_faults,
-                                         grid_config.outages, grid.size(), horizon, config_.seed);
   }
 
   // --- tail-metrics columns ---
@@ -231,7 +215,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
     engine_config.failable_server = true;
     engine_config.server_faults = config_.grid.checkpoint_server_faults;
     engine_config.retry = config_.checkpoint_retry;
-    engine_config.world = world;  // null = live fault process
   }
   if (config_.adversary.enabled && config_.adversary.hit_server) {
     // Forced server downtime over every stress window; composes with the
@@ -245,8 +228,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   if (observer != nullptr) engine.add_observer(*observer);
 
   std::unique_ptr<grid::TraceAvailabilityDriver> trace_driver;
-  std::optional<grid::RealizedAvailabilityDriver> realized_driver;
-  std::optional<grid::RealizedOutageDriver> realized_outages;
   std::optional<grid::ScheduledOutageProcess> adversary_outages;
   const auto on_failure = grid::TransitionDelegate::to<&ExecutionEngine::on_machine_failure>(engine);
   const auto on_repair = grid::TransitionDelegate::to<&ExecutionEngine::on_machine_repair>(engine);
@@ -255,26 +236,6 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
                                                                    *config_.availability_trace);
     trace_driver->start(on_failure, on_repair);
     grid.start(nullptr, nullptr);  // processes disabled; keeps uptime stats coherent
-  } else if (world != nullptr) {
-    // Replay the cached realization: same first-failure scheduling order as
-    // grid.start(), same lazy one-event-per-machine pattern thereafter. When
-    // the availability model has failures disabled (server-faults- or
-    // outage-only worlds) the live processes are no-ops, so starting them
-    // matches the recorded (empty) machine timelines.
-    if (grid_config.availability.failures_enabled) {
-      realized_driver.emplace(sim, grid, *world, workspace.replay_cursors());
-      realized_driver->start(on_failure, on_repair);
-    } else {
-      grid.start_machines(on_failure, on_repair);
-    }
-    if (world->outages.enabled) {
-      // Outage strikes come from the realization too (same "grid.outages"
-      // stream consumption as the live process, cache-on == cache-off).
-      realized_outages.emplace(sim, grid, *world);
-      realized_outages->start(on_failure, on_repair);
-    } else {
-      grid.start_outages(on_failure, on_repair);
-    }
   } else {
     grid.start(on_failure, on_repair);
   }

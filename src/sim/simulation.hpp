@@ -19,7 +19,6 @@
 #include "des/queue_policy.hpp"
 #include "grid/desktop_grid.hpp"
 #include "grid/trace.hpp"
-#include "grid/world_cache.hpp"
 #include "sched/individual.hpp"
 #include "sched/policy.hpp"
 #include "sched/sched_stats.hpp"
@@ -67,16 +66,6 @@ struct SimulationConfig {
   /// trace's statistics — it sizes the checkpoint interval and arrival-rate
   /// math. See grid/trace.hpp.
   std::shared_ptr<const grid::AvailabilityTrace> availability_trace;
-
-  /// Shared world-realization cache: the run acquires its (availability +
-  /// checkpoint-server fault + correlated-outage) timelines — synthesized once per (models,
-  /// machine count, seed) — and replays them through the cursor drivers of
-  /// grid/realization.hpp instead of sampling the live processes.
-  /// Bit-identical to the live path (same streams, same draw order, same
-  /// event schedule); exp::ExperimentRunner installs its cache here so every
-  /// policy cell of a replication shares one realization. Null (the default)
-  /// = live processes. Ignored when `availability_trace` is set.
-  std::shared_ptr<grid::WorldCache> world_cache;
 
   /// Sampling period of the queue monitor (active bags / busy machines time
   /// series); 0 = auto (~512 samples across the horizon).

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "des/simulator.hpp"
-#include "grid/realization.hpp"
 #include "sim/simulation.hpp"
 #include "workload/bot.hpp"
 
@@ -62,12 +61,6 @@ class SimulationWorkspace {
   /// Reused workload-spec buffer (cleared, capacity kept).
   [[nodiscard]] std::vector<workload::BotSpec>& specs() noexcept { return specs_; }
 
-  /// Reused per-machine cursor vector for the world-realization replay
-  /// driver (grid/realization.hpp). The driver re-assigns it wholesale at
-  /// start(), so no clearing is needed between replications; keeping it here
-  /// preserves the warmed-workspace zero-allocation contract.
-  [[nodiscard]] grid::ReplayCursors& replay_cursors() noexcept { return replay_cursors_; }
-
   /// The in-place result of the current / most recent run. Overwritten by
   /// the next begin_replication().
   [[nodiscard]] SimulationResult& result() noexcept { return result_; }
@@ -85,7 +78,6 @@ class SimulationWorkspace {
   des::Simulator sim_;
   std::pmr::unsynchronized_pool_resource pool_;
   std::vector<workload::BotSpec> specs_;
-  grid::ReplayCursors replay_cursors_;
   SimulationResult result_;
   std::uint64_t replications_ = 0;
 };

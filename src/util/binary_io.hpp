@@ -1,8 +1,8 @@
 // Minimal byte-buffer writer/reader for same-machine binary artifacts.
 //
-// The multi-process campaign path moves three kinds of bytes around: world
-// realizations in the mmap-shared pool, replication summaries over the
-// coordinator/worker pipes, and journal records on disk. All three are
+// The multi-process campaign path moves two kinds of bytes around:
+// replication summaries over the coordinator/worker pipes and shared-memory
+// ring, and journal records on disk. Both are
 // written and read by sibling processes of one build on one machine, so the
 // encoding is deliberately plain: fixed-width host-endian PODs, memcpy'd —
 // a double round-trips bitwise, which is what the byte-identity contract of
@@ -19,8 +19,8 @@
 
 namespace dg::util {
 
-/// FNV-1a 64-bit over a raw byte range — the checksum used by world-pool
-/// files and journal records. Chainable via the `h` parameter.
+/// FNV-1a 64-bit over a raw byte range — the checksum used by shared-memory
+/// ring slots and journal records. Chainable via the `h` parameter.
 [[nodiscard]] inline std::uint64_t fnv1a64_bytes(const void* data, std::size_t size,
                                                  std::uint64_t h = 0xcbf29ce484222325ULL) noexcept {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
@@ -50,7 +50,7 @@ void put_array(std::vector<std::uint8_t>& out, const T* data, std::size_t count)
 }
 
 /// Bounds-checked reader over a byte range. Every underrun throws
-/// std::runtime_error — truncated pool files / journal tails surface as
+/// std::runtime_error — truncated payloads / journal tails surface as
 /// exceptions the caller turns into "treat as absent".
 class ByteReader {
  public:

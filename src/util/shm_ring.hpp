@@ -16,9 +16,9 @@
 // loads). A worker that dies mid-chunk simply leaves slots unread — the
 // coordinator reclaims the indices and the next writer overwrites them.
 //
-// Reads follow grid::WorldPool's validate-then-copy discipline: the slot
-// header carries the payload size and an FNV-1a checksum, and the consumer
-// verifies both before trusting a byte. A garbled slot (a worker killed
+// Reads are validate-then-copy: the slot header carries the payload size
+// and an FNV-1a checksum, and the consumer verifies both before trusting a
+// byte. A garbled slot (a worker killed
 // mid-memcpy by fault injection) throws instead of folding corrupt stats.
 #pragma once
 

@@ -75,18 +75,6 @@ TEST(AllocationFree, WarmedWorkspaceIsAllocationFreeWithFailuresToo) {
   EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
 }
 
-TEST(AllocationFree, WorldCacheReplayRunLoopIsAllocationFreeToo) {
-  // The realization replay path: world synthesis and acquisition happen in
-  // setup (before the hooks); the cursor driver's replay events must run the
-  // loop without heap traffic, like the live processes they replace.
-  SimulationConfig config = metered_config(grid::AvailabilityLevel::kHigh);
-  config.world_cache = std::make_shared<grid::WorldCache>();
-  SimulationWorkspace workspace;
-  (void)run_loop_allocs(config, workspace);  // warm workspace + cache
-  EXPECT_EQ(run_loop_allocs(config, workspace), 0u);
-  EXPECT_EQ(config.world_cache->stats().hits, 1u);
-}
-
 // Every paper policy's select and bookkeeping runs inside the loop, so the
 // guarantee must hold for all five, with and without machine failures.
 class PaperPolicyAllocationFree : public ::testing::TestWithParam<sched::PolicyKind> {};

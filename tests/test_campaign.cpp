@@ -1,7 +1,7 @@
 // Robustness campaign (exp/campaign.hpp): grid expansion, risk-cliff rows,
 // seed-sensitivity spread, and the determinism contracts — campaign rows and
 // spread statistics must be bit-identical across execution shapes (threads,
-// batching, multi-cell replay, world cache on/off).
+// batching, workspace reuse).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -115,9 +115,8 @@ TEST(Campaign, RiskCliffRowsComputeDegradationAgainstMildestCorner) {
 }
 
 TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
-  // Satellite 3: the same campaign folded under different thread counts,
-  // batch shapes, multi-cell replay, and world-cache settings must produce
-  // bitwise-equal heatmap rows.
+  // The same campaign folded under different thread counts, batch shapes
+  // and workspace settings must produce bitwise-equal heatmap rows.
   const std::vector<CampaignCell> cells = expand_campaign(tiny_axes());
   std::vector<NamedConfig> named;
   for (const CampaignCell& cell : cells) {
@@ -139,16 +138,6 @@ TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
     RunOptions o = tiny_options();
     o.threads = 4;
     o.batch_size = 1;
-    shapes.push_back(o);
-  }
-  {
-    RunOptions o = tiny_options();
-    o.multi_cell_replay = false;
-    shapes.push_back(o);
-  }
-  {
-    RunOptions o = tiny_options();
-    o.world_cache_bytes = 0;  // live sampling
     shapes.push_back(o);
   }
   {

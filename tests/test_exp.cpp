@@ -177,11 +177,11 @@ TEST(ExperimentRunner, CellTailSketchesPoolEveryMeasuredBag) {
   EXPECT_LE(cell.decayed_utilization.mean(), 1.0);
 }
 
-TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
+TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsAndBatch) {
   // The fold-in-build-order contract extended to the tail sketches: exact
   // integer bucket merges make the cell-level p50/p95/p99 identical across
-  // thread counts, batch shapes, and the world cache on/off — on a volatile
-  // grid where the cache actually replays realizations.
+  // thread counts and batch shapes — on a volatile grid, so machine failures
+  // shape every replication.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kLow);
@@ -193,13 +193,8 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
   struct Variant {
     std::size_t threads;
     std::size_t batch;
-    std::size_t cache_bytes;
   };
-  const Variant variants[] = {{1, 1, 0},
-                              {3, 1, 0},
-                              {3, 5, 0},
-                              {1, 1, grid::WorldCache::kDefaultBudgetBytes},
-                              {4, 2, grid::WorldCache::kDefaultBudgetBytes}};
+  const Variant variants[] = {{1, 1}, {3, 1}, {3, 5}, {4, 2}};
 
   std::vector<std::vector<CellResult>> runs;
   for (const Variant& variant : variants) {
@@ -208,7 +203,6 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
     options.max_replications = 3;
     options.threads = variant.threads;
     options.batch_size = variant.batch;
-    options.world_cache_bytes = variant.cache_bytes;
     runs.push_back(ExperimentRunner(options).run(cells));
   }
 
@@ -231,6 +225,25 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsBatchAndWorldCache) {
       EXPECT_EQ(got.decayed_utilization.mean(), want.decayed_utilization.mean());
     }
   }
+}
+
+TEST(ExperimentRunner, CellEventCountsArePopulated) {
+  NamedConfig cell;
+  cell.label = "events";
+  cell.config.grid =
+      grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kHigh);
+  cell.config.workload =
+      sim::make_paper_workload(cell.config.grid, 25000.0, workload::Intensity::kLow, 10);
+  cell.config.policy = sched::PolicyKind::kFcfsShare;
+  cell.config.warmup_bots = 2;
+  RunOptions options;
+  options.min_replications = 2;
+  options.max_replications = 2;
+  options.threads = 1;
+  const std::vector<CellResult> results = ExperimentRunner(options).run({cell});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_GT(results[0].events_executed, 0u);
+  EXPECT_EQ(results[0].replications, 2u);
 }
 
 TEST(RunOptions, EnvOverridesApply) {
@@ -292,7 +305,22 @@ TEST(RunOptions, MalformedEnvFailsWithClearMessage) {
   expect_env_rejected("DGSCHED_SEED", "0xzz");
   expect_env_rejected("DGSCHED_QUEUE", "ladder");
   expect_env_rejected("DGSCHED_QUEUE", "Heap4");
-  expect_env_rejected("DGSCHED_MULTI_CELL", "yes");
+  // Integers are plain digit runs: std::stoull alone would skip the blank
+  // and wrap " -1" to 2^64 - 1 threads. Only parsed here — never used to
+  // build a runner or a thread pool.
+  expect_env_rejected("DGSCHED_THREADS", " -1");
+  expect_env_rejected("DGSCHED_THREADS", "-1");
+  expect_env_rejected("DGSCHED_BATCH", "+7");
+  expect_env_rejected("DGSCHED_MIN_REPS", " 3");
+  expect_env_rejected("DGSCHED_MAX_REPS", "3 ");
+  // A relative-error target must be a finite positive number: nan, inf and
+  // non-positive values would run every cell to the replication cap.
+  expect_env_rejected("DGSCHED_TRE", "nan");
+  expect_env_rejected("DGSCHED_TRE", "inf");
+  expect_env_rejected("DGSCHED_TRE", "-inf");
+  expect_env_rejected("DGSCHED_TRE", "-0.5");
+  expect_env_rejected("DGSCHED_TRE", "0");
+  expect_env_rejected("DGSCHED_TRE", "-0.0");
 }
 
 TEST(RunOptions, QueueBackendEnvOverride) {
@@ -304,22 +332,12 @@ TEST(RunOptions, QueueBackendEnvOverride) {
   ::unsetenv("DGSCHED_QUEUE");
 }
 
-TEST(RunOptions, MultiCellReplayEnvOverride) {
-  EXPECT_TRUE(RunOptions::from_env().multi_cell_replay);  // default on
-  ::setenv("DGSCHED_MULTI_CELL", "0", 1);
-  EXPECT_FALSE(RunOptions::from_env().multi_cell_replay);
-  ::setenv("DGSCHED_MULTI_CELL", "1", 1);
-  EXPECT_TRUE(RunOptions::from_env().multi_cell_replay);
-  ::unsetenv("DGSCHED_MULTI_CELL");
-}
-
-TEST(ExperimentRunner, MultiCellReplayBitIdenticalAcrossShapes) {
-  // The multi-cell hand-out (jobs grouped by replication so one worker walks
-  // one realized world across every cell) must be cell-for-cell identical to
-  // the classic expected-cost hand-out, across thread counts and batch
-  // shapes — the fold happens after the round barrier in build order either
-  // way. Volatile grid so worlds are actually realized and replayed, plus an
-  // adaptive round (max > min) so singleton replication groups occur.
+TEST(ExperimentRunner, AdaptiveRoundsBitIdenticalAcrossThreadsAndBatch) {
+  // Cells that stop at different replication counts (max > min with a
+  // reachable precision target) must fold cell-for-cell identically across
+  // thread counts and batch shapes — each summary folds in per-cell
+  // replication order whatever worker delivers it. Volatile grid so machine
+  // failures shape every replication.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin, 6);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kLow);
@@ -333,12 +351,10 @@ TEST(ExperimentRunner, MultiCellReplayBitIdenticalAcrossShapes) {
       {"rr", volatile_config}, {"fcfs", stable_config}, {"li", third_config}};
 
   struct Variant {
-    bool multi_cell;
     std::size_t threads;
     std::size_t batch;
   };
-  const Variant variants[] = {{false, 1, 1}, {true, 1, 1},  {true, 3, 1},
-                              {true, 3, 5},  {true, 2, 0},  {false, 4, 2}};
+  const Variant variants[] = {{1, 1}, {3, 1}, {3, 5}, {2, 0}, {4, 2}};
 
   std::vector<std::vector<CellResult>> runs;
   for (const Variant& variant : variants) {
@@ -346,7 +362,6 @@ TEST(ExperimentRunner, MultiCellReplayBitIdenticalAcrossShapes) {
     options.min_replications = 2;
     options.max_replications = 4;
     options.target_relative_error = 0.08;
-    options.multi_cell_replay = variant.multi_cell;
     options.threads = variant.threads;
     options.batch_size = variant.batch;
     runs.push_back(ExperimentRunner(options).run(cells));
@@ -400,16 +415,15 @@ TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
     std::size_t speculate;
     std::size_t threads;
     std::size_t batch;
-    bool multi_cell;
   };
   const Variant variants[] = {
-      {false, 0, 1, 0, true},   // barrier reference, single worker
-      {false, 0, 4, 0, true},   // barrier, parallel
-      {true, 0, 3, 0, true},    // pipelined, no speculation
-      {true, 1, 3, 0, true},    // default shape
-      {true, 4, 3, 0, true},    // deep speculation: discards must be silent
-      {true, 4, 1, 1, false},   // speculation + cost-major singleton chunks
-      {true, 4, 4, 3, true},    // speculation + batching + parallelism
+      {false, 0, 1, 0},  // barrier reference, single worker
+      {false, 0, 4, 0},  // barrier, parallel
+      {true, 0, 3, 0},   // pipelined, no speculation
+      {true, 1, 3, 0},   // default shape
+      {true, 4, 3, 0},   // deep speculation: discards must be silent
+      {true, 4, 1, 1},   // speculation + singleton chunks
+      {true, 4, 4, 3},   // speculation + batching + parallelism
   };
 
   std::vector<std::vector<CellResult>> runs;
@@ -422,7 +436,6 @@ TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
     options.speculate = variant.speculate;
     options.threads = variant.threads;
     options.batch_size = variant.batch;
-    options.multi_cell_replay = variant.multi_cell;
     runs.push_back(ExperimentRunner(options).run(cells));
   }
 

@@ -1,8 +1,7 @@
 // Multi-process sharded runner (exp/shard.hpp): results must be
 // bit-identical to the threaded ExperimentRunner for any worker count,
-// chunk shape, worker-death schedule, or kill/resume point (satellites:
-// cross-process bit-identity and kill/resume), the mmap pool must serve
-// worlds across runs, and the env knobs must parse.
+// chunk shape, worker-death schedule, or kill/resume point (cross-process
+// bit-identity and kill/resume), and the env knobs must parse.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,7 +22,7 @@
 namespace dg::exp {
 namespace {
 
-/// Fresh scratch directory per test (journal + pool), removed on destruction.
+/// Fresh scratch directory per test (journals), removed on destruction.
 struct ShardDir {
   explicit ShardDir(const std::string& name)
       : path((std::filesystem::temp_directory_path() /
@@ -37,9 +36,8 @@ struct ShardDir {
   std::string path;
 };
 
-/// Two small policy cells under common random numbers — the world-cache test
-/// matrix shape, small enough that a handful of sharded campaigns stays
-/// test-sized.
+/// Two small policy cells under common random numbers on a volatile grid,
+/// small enough that a handful of sharded campaigns stays test-sized.
 std::vector<NamedConfig> tiny_cells() {
   std::vector<NamedConfig> cells;
   for (const sched::PolicyKind policy :
@@ -100,10 +98,9 @@ std::vector<std::uint8_t> file_bytes(const std::string& path) {
 }
 
 TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
-  // Satellite: byte-identical campaign output at 1, 2, and 4 workers. The
-  // threaded runner is the reference; pool and journal are both on, so the
-  // full transport path (mmap load + socket summaries + journal append) is
-  // what's being held to the contract.
+  // Byte-identical campaign output at 1, 2, and 4 workers. The threaded
+  // runner is the reference; the journal is on, so the full transport path
+  // (ring/socket summaries + journal append) is held to the contract.
   ShardDir dir("procs");
   const std::vector<NamedConfig> cells = tiny_cells();
   const RunOptions options = tiny_options();
@@ -113,7 +110,6 @@ TEST(ShardedRunner, BitIdenticalToThreadedRunnerAcrossProcessCounts) {
     SCOPED_TRACE(procs);
     ShardOptions shard;
     shard.procs = procs;
-    shard.pool_dir = dir.file("pool");
     shard.journal_path = dir.file(("j" + std::to_string(procs) + ".journal").c_str());
     ShardedRunner runner(options, shard);
     expect_cells_bitwise(runner.run(cells), reference);
@@ -126,19 +122,10 @@ TEST(ShardedRunner, BitIdenticalAcrossChunkShapesAndHandOutOrders) {
   const RunOptions options = tiny_options();
   const std::vector<CellResult> reference = ExperimentRunner(options).run(cells);
 
-  // One-job chunks, classic cost-major hand-out, no pool, no journal.
+  // One-job chunks, no journal.
   {
     RunOptions o = options;
     o.batch_size = 1;
-    o.multi_cell_replay = false;
-    ShardOptions shard;
-    shard.procs = 2;
-    expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
-  }
-  // No world cache at all: workers sample live.
-  {
-    RunOptions o = options;
-    o.world_cache_bytes = 0;
     ShardOptions shard;
     shard.procs = 2;
     expect_cells_bitwise(ShardedRunner(o, shard).run(cells), reference);
@@ -168,32 +155,6 @@ TEST(ShardedRunner, MultiRoundPrecisionLoopMatchesThreadedRunner) {
   ShardOptions shard;
   shard.procs = 2;
   expect_cells_bitwise(ShardedRunner(options, shard).run(cells), reference);
-}
-
-TEST(ShardedRunner, SecondRunOverTheSamePoolLoadsInsteadOfSynthesizing) {
-  ShardDir dir("pool_warm");
-  const std::vector<NamedConfig> cells = tiny_cells();
-  const RunOptions options = tiny_options();
-  ShardOptions shard;
-  shard.procs = 2;
-  shard.pool_dir = dir.file("pool");
-
-  ShardedRunner cold(options, shard);
-  const std::vector<CellResult> first = cold.run(cells);
-  // The cold run synthesized every world exactly once across the fleet.
-  EXPECT_GT(cold.worker_cache_stats().misses, 0u);
-
-  // A second fleet over the same pool directory starts with every world
-  // published: its workers' memory misses are all pool hits, zero syntheses.
-  ShardedRunner warm(options, shard);
-  const std::vector<CellResult> second = warm.run(cells);
-  const grid::WorldCacheStats stats = warm.worker_cache_stats();
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.extensions, 0u);
-  EXPECT_GT(stats.pool_hits, 0u);
-  EXPECT_GT(stats.pool_hit_rate(), 0.0);
-  // And pool-loaded worlds replay bit-identically to synthesized ones.
-  expect_cells_bitwise(second, first);
 }
 
 TEST(ShardedRunner, KilledWorkerIsRespawnedAndResultsUnchanged) {
@@ -226,7 +187,6 @@ TEST(ShardedRunner, ResumeFromEveryJournalRecordBoundaryIsByteIdentical) {
   ShardOptions shard;
   shard.procs = 1;  // deterministic append order, so journal bytes compare
   shard.journal_path = dir.file("reference.journal");
-  shard.pool_dir = dir.file("pool");
   ShardedRunner runner(options, shard);
   const std::vector<CellResult> reference = runner.run(cells);
   const std::vector<std::uint8_t> reference_journal = file_bytes(shard.journal_path);
@@ -282,15 +242,14 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
     std::size_t speculate;
     std::size_t procs;
     std::size_t batch;
-    bool multi_cell;
   };
   const Variant variants[] = {
-      {"p1_default", true, 1, 1, 0, true},
-      {"p1_barrier", false, 0, 1, 0, true},
-      {"p2_spec0", true, 0, 2, 0, true},
-      {"p2_spec4", true, 4, 2, 0, true},
-      {"p2_costmajor", true, 4, 2, 1, false},
-      {"p4_barrier", false, 0, 4, 0, true},
+      {"p1_default", true, 1, 1, 0},
+      {"p1_barrier", false, 0, 1, 0},
+      {"p2_spec0", true, 0, 2, 0},
+      {"p2_spec4", true, 4, 2, 0},
+      {"p2_batch1", true, 4, 2, 1},
+      {"p4_barrier", false, 0, 4, 0},
   };
   for (const Variant& variant : variants) {
     SCOPED_TRACE(variant.name);
@@ -298,7 +257,6 @@ TEST(ShardedRunner, JournalBytesIdenticalAcrossExecutionShapes) {
     options.pipeline = variant.pipeline;
     options.speculate = variant.speculate;
     options.batch_size = variant.batch;
-    options.multi_cell_replay = variant.multi_cell;
     ShardOptions shard;
     shard.procs = variant.procs;
     shard.journal_path = dir.file((std::string(variant.name) + ".journal").c_str());
@@ -362,7 +320,6 @@ TEST(ShardedRunner, SpeculativeResumeFromEveryBoundaryIsByteIdentical) {
   ShardOptions shard;
   shard.procs = 1;
   shard.journal_path = dir.file("reference.journal");
-  shard.pool_dir = dir.file("pool");
   ShardedRunner runner(options, shard);
   const std::vector<CellResult> reference = runner.run(cells);
   const std::vector<std::uint8_t> reference_journal = file_bytes(shard.journal_path);
@@ -419,20 +376,18 @@ TEST(ShardedRunner, ExecStatsReportWorkerLanes) {
 TEST(ShardOptions, FromEnvParsesAndValidates) {
   ASSERT_EQ(setenv("DGSCHED_PROCS", "3", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_JOURNAL", "/tmp/c.journal", 1), 0);
-  ASSERT_EQ(setenv("DGSCHED_POOL", "/tmp/p.worldpool", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_JOURNAL_FSYNC", "0", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_SHARD_ABORT_AFTER", "5", 1), 0);
   ASSERT_EQ(setenv("DGSCHED_SHARD_SELF_KILL", "1:2", 1), 0);
   ShardOptions options = ShardOptions::from_env();
   EXPECT_EQ(options.procs, 3u);
   EXPECT_EQ(options.journal_path, "/tmp/c.journal");
-  EXPECT_EQ(options.pool_dir, "/tmp/p.worldpool");
   EXPECT_FALSE(options.fsync_journal);
   EXPECT_EQ(options.abort_after_appends, 5u);
   EXPECT_EQ(options.self_kill_worker, 1u);
   EXPECT_EQ(options.self_kill_jobs, 2u);
 
-  for (const char* bad : {"nope", "3", ":4", "4:", "a:b", "1:2:3"}) {
+  for (const char* bad : {"nope", "3", ":4", "4:", "a:b", "1:2:3", "-1:2", " 1:2", "+1:2", "1: 2"}) {
     SCOPED_TRACE(bad);
     ASSERT_EQ(setenv("DGSCHED_SHARD_SELF_KILL", bad, 1), 0);
     EXPECT_THROW((void)ShardOptions::from_env(), std::invalid_argument);
@@ -440,14 +395,12 @@ TEST(ShardOptions, FromEnvParsesAndValidates) {
 
   ASSERT_EQ(unsetenv("DGSCHED_PROCS"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_JOURNAL"), 0);
-  ASSERT_EQ(unsetenv("DGSCHED_POOL"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_JOURNAL_FSYNC"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_SHARD_ABORT_AFTER"), 0);
   ASSERT_EQ(unsetenv("DGSCHED_SHARD_SELF_KILL"), 0);
   const ShardOptions defaults = ShardOptions::from_env();
   EXPECT_EQ(defaults.procs, 1u);
   EXPECT_TRUE(defaults.journal_path.empty());
-  EXPECT_TRUE(defaults.pool_dir.empty());
   EXPECT_TRUE(defaults.fsync_journal);
   EXPECT_EQ(defaults.abort_after_appends, 0u);
   EXPECT_EQ(defaults.self_kill_jobs, 0u);

@@ -1,8 +1,13 @@
 // End-to-end Simulation runs: invariants, determinism, metric identities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "sched/policy.hpp"
+#include "sim/observer.hpp"
 #include "sim/simulation.hpp"
 
 namespace dg::sim {
@@ -18,6 +23,75 @@ SimulationConfig small_config(sched::PolicyKind policy, grid::AvailabilityLevel 
   config.policy = policy;
   config.seed = 77;
   return config;
+}
+
+/// Every availability edge a run sees: machine (time, id) failures and
+/// repairs, and checkpoint-server down/up times.
+struct WorldRecorder final : SimulationObserver {
+  std::vector<std::pair<double, grid::MachineId>> failed;
+  std::vector<std::pair<double, grid::MachineId>> repaired;
+  std::vector<double> server_down;
+  std::vector<double> server_up;
+
+  void on_machine_failed(const grid::Machine& machine, double now) override {
+    failed.emplace_back(now, machine.id());
+  }
+  void on_machine_repaired(const grid::Machine& machine, double now) override {
+    repaired.emplace_back(now, machine.id());
+  }
+  void on_server_down(double now) override { server_down.push_back(now); }
+  void on_server_up(double now) override { server_up.push_back(now); }
+};
+
+/// The shorter of `a` and `b` is a bit-exact prefix of the longer one.
+template <class T>
+void expect_common_prefix(const std::vector<T>& a, const std::vector<T>& b, const char* what) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(a[i], b[i]) << what << " diverge at index " << i;  // doubles compared bitwise
+  }
+}
+
+TEST(Simulation, PaperPoliciesShareOneWorldUnderCommonRandomNumbers) {
+  // Common random numbers come from seeding alone: machine availability,
+  // correlated outages and checkpoint-server faults draw from streams
+  // derived from the seed, never from the policy. Every paper policy must
+  // therefore see the same world — the same failure/repair and server
+  // edges at the same times — until its own run ends.
+  SimulationConfig config = small_config(sched::PolicyKind::kFcfsShare,
+                                         grid::AvailabilityLevel::kLow, 25000.0,
+                                         workload::Intensity::kLow, 12);
+  config.grid.checkpoint_server_faults.enabled = true;
+  config.grid.checkpoint_server_faults.mtbf = 20000.0;
+  config.grid.checkpoint_server_faults.mttr = 3000.0;
+  config.grid.outages.enabled = true;
+  config.grid.outages.mean_interarrival = 20000.0;
+  config.seed = 4242;
+
+  std::vector<WorldRecorder> worlds;
+  for (const sched::PolicyKind policy : sched::paper_policies()) {
+    config.policy = policy;
+    WorldRecorder recorder;
+    (void)Simulation(config).run(&recorder);
+    // The world is non-trivial in every run: machines fail and come back,
+    // and the server goes down.
+    EXPECT_FALSE(recorder.failed.empty()) << sched::to_string(policy);
+    EXPECT_FALSE(recorder.repaired.empty()) << sched::to_string(policy);
+    EXPECT_FALSE(recorder.server_down.empty()) << sched::to_string(policy);
+    worlds.push_back(std::move(recorder));
+  }
+  ASSERT_EQ(worlds.size(), 5u);
+
+  for (std::size_t a = 0; a < worlds.size(); ++a) {
+    for (std::size_t b = a + 1; b < worlds.size(); ++b) {
+      SCOPED_TRACE(testing::Message() << sched::to_string(sched::paper_policies()[a]) << " vs "
+                                      << sched::to_string(sched::paper_policies()[b]));
+      expect_common_prefix(worlds[a].failed, worlds[b].failed, "machine failures");
+      expect_common_prefix(worlds[a].repaired, worlds[b].repaired, "machine repairs");
+      expect_common_prefix(worlds[a].server_down, worlds[b].server_down, "server downs");
+      expect_common_prefix(worlds[a].server_up, worlds[b].server_up, "server ups");
+    }
+  }
 }
 
 TEST(Simulation, AllBotsCompleteInStableSystem) {

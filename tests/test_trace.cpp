@@ -5,7 +5,6 @@
 #include <memory>
 #include <sstream>
 
-#include "grid/realization.hpp"
 #include "grid/trace.hpp"
 #include "sim/simulation.hpp"
 #include "workload/generator.hpp"
@@ -73,15 +72,6 @@ TEST(AvailabilityTrace, CsvRoundTripIsBitExactAcrossModelsAndSeeds) {
           grid::AvailabilityModel::for_level(level), 6, 3e5, seed));
     }
   }
-}
-
-TEST(AvailabilityTrace, WorldRealizationTraceViewRoundTripsBitExact) {
-  // The cache's realization-to-trace view feeds the same CSV path.
-  const grid::GridConfig config =
-      grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kLow);
-  const grid::WorldRealization world = grid::WorldRealization::synthesize(
-      config.availability, config.checkpoint_server_faults, config.outages, 12, 1e5, 77);
-  expect_csv_round_trip_bit_exact(world.to_trace());
 }
 
 TEST(AvailabilityTrace, CsvRoundTripKeepsAlwaysUpMachines) {
