@@ -10,9 +10,9 @@ namespace dg::sched {
 BotState::BotState(const workload::BotSpec& spec, TaskOrder order,
                    std::pmr::memory_resource* mem)
     : id_(spec.id), arrival_time_(spec.arrival_time), granularity_(spec.granularity),
-      order_(order), tasks_(mem), unstarted_order_(mem), rank_of_(mem),
-      resubmission_queue_(mem), requeue_(mem), words_per_bucket_((spec.tasks.size() + 63) / 64),
-      bucket_words_(mem), bucket_heads_(mem) {
+      order_(order), num_tasks_(spec.tasks.size()), tasks_(mem), unstarted_order_(mem),
+      rank_of_(mem), resubmission_queue_(mem), requeue_(mem), never_started_(num_tasks_),
+      words_per_bucket_((num_tasks_ + 63) / 64), bucket_words_(mem), bucket_heads_(mem) {
   tasks_.reserve(spec.tasks.size());
   for (std::size_t i = 0; i < spec.tasks.size(); ++i) {
     tasks_.emplace_back(*this, static_cast<workload::TaskIndex>(i), spec.tasks[i].work,
@@ -63,43 +63,55 @@ TaskState* BotState::peek_requeued() const {
 }
 
 void BotState::push_resubmission(TaskState& task) {
+  DG_ASSERT_MSG(task.running_replicas() == 0 && !task.completed(),
+                "only an idle incomplete task is queued for resubmission");
+  DG_ASSERT_MSG(requeue_.empty(), "a bag feeds one pool at a time");
   task.set_needs_resubmission(true);
+  sync_pool_counts(task);
   resubmission_queue_.push_back(&task);
   refresh_dispatch_index();
 }
 
 void BotState::push_requeue(TaskState& task) {
+  DG_ASSERT_MSG(task.running_replicas() == 0 && !task.completed(),
+                "only an idle incomplete task is re-queued");
+  DG_ASSERT_MSG(resubmission_queue_.empty(), "a bag feeds one pool at a time");
   task.set_needs_resubmission(true);
+  sync_pool_counts(task);
   requeue_.push_back(&task);
   refresh_dispatch_index();
 }
 
-namespace {
-/// True iff `queue` holds an entry whose task is dispatchable right now.
-/// Pure scan — unlike the peeks it pops nothing: an entry that is stale at
-/// the moment (task running) regains its validity, and its queue position,
-/// if the task fails again before a real probe pops it. The dispatch index
-/// calls this on every task transition, so it must not disturb the queues.
-bool any_valid_entry(const std::pmr::deque<TaskState*>& queue) {
-  for (const TaskState* task : queue) {
-    if (task->needs_resubmission() && !task->completed() && task->running_replicas() == 0) {
-      return true;
+void BotState::sync_pool_counts(TaskState& task) noexcept {
+  if (!task.counted_started_ && (task.ever_started() || task.completed())) {
+    task.counted_started_ = true;
+    --never_started_;
+  }
+  if (task.counted_flagged_ != task.needs_resubmission()) {
+    task.counted_flagged_ = task.needs_resubmission();
+    if (task.counted_flagged_) {
+      ++flagged_;
+    } else {
+      --flagged_;
     }
   }
-  return false;
-}
-}  // namespace
-
-bool BotState::has_pending() const {
-  return any_valid_entry(resubmission_queue_) || peek_unstarted() != nullptr ||
-         any_valid_entry(requeue_);
 }
 
-bool BotState::has_stale_queue_entries() const {
-  const auto stale = [](const std::pmr::deque<TaskState*>& queue) {
-    return !queue.empty() && !any_valid_entry(queue);
-  };
-  return stale(resubmission_queue_) || stale(requeue_);
+void BotState::TaskQueue::pop_front() noexcept {
+  ++head;
+  if (head == items.size()) {
+    items.clear();
+    head = 0;
+  } else if (head * 2 >= items.size()) {
+    items.erase(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
+
+void BotState::TaskQueue::release() noexcept {
+  items.clear();
+  items.shrink_to_fit();
+  head = 0;
 }
 
 TaskState* BotState::least_replicated_below(int threshold) const {
@@ -166,6 +178,7 @@ void BotState::after_replica_started(TaskState& task) {
   if (count > 1) bucket_erase(task, count - 1);
   bucket_insert(task, count);
   ++total_running_;
+  sync_pool_counts(task);
   refresh_dispatch_index();
 }
 
@@ -185,16 +198,33 @@ void BotState::on_task_completed(TaskState& task) {
   if (count >= 1) bucket_erase(task, count);
   ++completed_count_;
   completed_work_ += task.work();
-  DG_ASSERT(completed_count_ <= tasks_.size());
+  sync_pool_counts(task);
+  DG_ASSERT(completed_count_ <= num_tasks_);
   if (completed()) {
-    // Completed bags stay alive until the replication ends; hand the bucket
-    // storage back to the pool so later bags reuse it.
+    // The buckets are empty now; hand their storage back at once. The rest
+    // waits for release_task_storage(): the completing event still stops
+    // this task's sibling replicas.
     bucket_words_.clear();
     bucket_words_.shrink_to_fit();
     bucket_heads_.clear();
     bucket_heads_.shrink_to_fit();
   }
   refresh_dispatch_index();
+}
+
+void BotState::release_task_storage() {
+  DG_ASSERT_MSG(completed() && total_running_ == 0,
+                "bag storage released before its last replica stopped");
+  DG_ASSERT_MSG(!index_membership_.registered && !in_active_list_,
+                "bag storage released while the scheduler still holds the bag");
+  tasks_.clear();
+  tasks_.shrink_to_fit();
+  unstarted_order_.clear();
+  unstarted_order_.shrink_to_fit();
+  rank_of_.clear();
+  rank_of_.shrink_to_fit();
+  resubmission_queue_.release();
+  requeue_.release();
 }
 
 void BotState::refresh_dispatch_index() {

@@ -12,10 +12,15 @@
 //     non-empty word, so insert and erase flip one bit and the answer is the
 //     lowest set bit of the smallest occupied count's bitset.
 // All structures are deterministic (ordered containers, stable tie-breaks).
+//
+// A bag lives from its arrival to its completion: Simulation::run builds the
+// BotState at the bag's arrival event and, once the bag has completed and
+// its last sibling replicas have stopped, calls release_task_storage(),
+// which hands every per-task container back to the memory resource. The
+// released bag keeps only the scalars its result record reads.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <memory_resource>
@@ -60,9 +65,16 @@ class BotState {
   [[nodiscard]] workload::BotId id() const noexcept { return id_; }
   [[nodiscard]] double arrival_time() const noexcept { return arrival_time_; }
   [[nodiscard]] double granularity() const noexcept { return granularity_; }
-  [[nodiscard]] std::size_t num_tasks() const noexcept { return tasks_.size(); }
-  [[nodiscard]] TaskState& task(std::size_t i) { return tasks_[i]; }
-  [[nodiscard]] const TaskState& task(std::size_t i) const { return tasks_[i]; }
+  [[nodiscard]] std::size_t num_tasks() const noexcept { return num_tasks_; }
+  /// Task `i`; asserts that `i` is in range and the storage not released.
+  [[nodiscard]] TaskState& task(std::size_t i) {
+    DG_ASSERT_MSG(i < tasks_.size(), "task index out of range or bag storage released");
+    return tasks_[i];
+  }
+  [[nodiscard]] const TaskState& task(std::size_t i) const {
+    DG_ASSERT_MSG(i < tasks_.size(), "task index out of range or bag storage released");
+    return tasks_[i];
+  }
 
   // --- pending pools ---
   //
@@ -77,21 +89,31 @@ class BotState {
   /// Oldest task re-queued without priority (WQR / WorkQueue), or nullptr.
   [[nodiscard]] TaskState* peek_requeued() const;
 
+  /// Flag `task` for resubmission and queue it. The task must be idle and
+  /// incomplete, and a bag feeds one pool at a time: the other must be empty
+  /// (a scheduler feeds one pool for its whole run).
   void push_resubmission(TaskState& task);
   void push_requeue(TaskState& task);
 
-  /// True if any pending (zero-replica, incomplete) task exists. Unlike the
-  /// peeks this never pops queue entries: a stale entry whose task is merely
-  /// running keeps its position and revalidates if the task fails again —
-  /// the priority-resubmission order the probing pick path relies on.
-  [[nodiscard]] bool has_pending() const;
+  /// True if any pending (zero-replica, incomplete) task exists: a
+  /// never-started task or a valid pool entry. O(1), from two counts kept
+  /// by the hooks below. A set resubmission flag marks exactly the tasks
+  /// with a valid pool entry: push_* sets it on an idle incomplete task, and
+  /// a start or the completion clears it. Never pops: a stale entry whose
+  /// task is merely running keeps its position and revalidates if the task
+  /// fails again — the priority-resubmission order the pick path relies on.
+  [[nodiscard]] bool has_pending() const noexcept { return never_started_ > 0 || flagged_ > 0; }
 
   /// True if a resubmission/requeue pool is non-empty yet holds no currently
   /// dispatchable entry — every entry's task is running or completed. Such a
   /// bag is exactly one the positional policy scans used to probe (and
   /// thereby prune) on their way to the selected bag; the dispatch index
-  /// tracks these so the probes can be replayed without a full scan.
-  [[nodiscard]] bool has_stale_queue_entries() const;
+  /// tracks these so the probes can be replayed without a full scan. O(1):
+  /// at most one pool is non-empty, and it holds a valid entry iff some
+  /// task is flagged.
+  [[nodiscard]] bool has_stale_queue_entries() const noexcept {
+    return flagged_ == 0 && !(resubmission_queue_.empty() && requeue_.empty());
+  }
 
   // --- replication candidates ---
 
@@ -114,6 +136,12 @@ class BotState {
   /// (the bucket entry is keyed by the still-current replica count).
   void on_task_completed(TaskState& task);
 
+  /// Hands the task slab, the dispatch order and the pools back to the
+  /// memory resource. Call once the bag has completed and its last replica
+  /// has stopped; afterwards only the bag-level scalars (counts, work,
+  /// timings) answer, and task(i) asserts.
+  void release_task_storage();
+
   /// Attaches the scheduler's DispatchIndex; every mutator above (and the
   /// push_* pools) refresh this bag's index memberships before returning.
   /// Wired at the BotState level — not the policy-hook level — because
@@ -129,7 +157,7 @@ class BotState {
   // --- bag-level status ---
 
   [[nodiscard]] std::size_t completed_tasks() const noexcept { return completed_count_; }
-  [[nodiscard]] bool completed() const noexcept { return completed_count_ == tasks_.size(); }
+  [[nodiscard]] bool completed() const noexcept { return completed_count_ == num_tasks_; }
   [[nodiscard]] int total_running() const noexcept { return total_running_; }
   [[nodiscard]] double total_work() const noexcept { return total_work_; }
   /// Work of the not-yet-completed tasks (knowledge-based policies only —
@@ -176,14 +204,34 @@ class BotState {
   }
   void bucket_insert(const TaskState& task, int count);
   void bucket_erase(const TaskState& task, int count);
+  /// Brings never_started_ and flagged_ in line with `task`'s flags; every
+  /// hook that follows a flag change calls it.
+  void sync_pool_counts(TaskState& task) noexcept;
+
+  /// FIFO of tasks over a pooled vector: pops advance `head`, and the dead
+  /// prefix is dropped once it is half the storage (capacity kept). Unlike a
+  /// std::deque it allocates nothing until the first push.
+  struct TaskQueue {
+    std::pmr::vector<TaskState*> items;
+    std::size_t head = 0;
+
+    explicit TaskQueue(std::pmr::memory_resource* mem) : items(mem) {}
+    [[nodiscard]] bool empty() const noexcept { return head == items.size(); }
+    [[nodiscard]] TaskState* front() const noexcept { return items[head]; }
+    void push_back(TaskState* task) { items.push_back(task); }
+    void pop_front() noexcept;
+    void release() noexcept;
+  };
 
   workload::BotId id_;
   double arrival_time_;
   double granularity_;
   double total_work_ = 0.0;
   TaskOrder order_;
+  /// Task count, kept apart from tasks_ so it survives release_task_storage().
+  std::size_t num_tasks_;
   /// Task slab: reserved once at construction and never resized, so the
-  /// TaskState* handed out everywhere stay stable.
+  /// TaskState* handed out everywhere stay stable until the release.
   std::pmr::vector<TaskState> tasks_;
 
   // Unstarted cursor: precomputed dispatch order, advanced lazily (mutable:
@@ -195,14 +243,18 @@ class BotState {
   /// the rank is the index.
   std::pmr::vector<std::uint32_t> rank_of_;
 
-  mutable std::pmr::deque<TaskState*> resubmission_queue_;
-  mutable std::pmr::deque<TaskState*> requeue_;
+  mutable TaskQueue resubmission_queue_;
+  mutable TaskQueue requeue_;
+  /// Tasks neither started nor completed (the unstarted pool's size).
+  std::size_t never_started_;
+  /// Tasks whose resubmission flag is set (the valid pool entries' tasks).
+  std::size_t flagged_ = 0;
 
   // Replica-count buckets: count c >= 1 owns words
   // [bucket_base(c), bucket_base(c) + words_per_bucket_) of bucket_words_, a
   // bitset over the ranks of the incomplete tasks with exactly c running
   // replicas, and bucket_heads_[c - 1]. Grown a count at a time; the
-  // storage is kept until the bag completes, which releases it.
+  // storage is kept until the bag's last task completes, which releases it.
   std::size_t words_per_bucket_;
   std::pmr::vector<std::uint64_t> bucket_words_;
   std::pmr::vector<BucketHead> bucket_heads_;

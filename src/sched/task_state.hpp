@@ -115,9 +115,19 @@ class TaskState {
   bool ever_started_ = false;
   bool completed_ = false;
   bool needs_resubmission_ = false;
+  // Pool-count marks, kept by the owning BotState: whether its never-started
+  // count has let go of this task, and whether its resubmission-flag count
+  // includes it (see BotState::sync_pool_counts). They fill padding.
+  friend class BotState;
+  bool counted_started_ : 1 = false;
+  bool counted_flagged_ : 1 = false;
   double completion_time_ = 0.0;
   double idle_accum_ = 0.0;
   double idle_since_;
 };
+
+// A bag's task slab is num_tasks * sizeof(TaskState); keep a task in one
+// cache line.
+static_assert(sizeof(TaskState) <= 64, "TaskState outgrew a cache line");
 
 }  // namespace dg::sched

@@ -10,6 +10,10 @@ std::string InvariantChecker::task_name(const sched::TaskState& task) {
   return oss.str();
 }
 
+InvariantChecker::TaskShadow& InvariantChecker::shadow_of(const sched::TaskState& task) {
+  return tasks_[TaskKey{task.bot().id(), task.index()}];
+}
+
 void InvariantChecker::violation(std::string message) {
   if (violations_.size() < kMaxViolations) violations_.push_back(std::move(message));
 }
@@ -48,7 +52,7 @@ void InvariantChecker::on_replica_started(const sched::TaskState& task,
                                           const grid::Machine& machine, double now) {
   if (now < last_time_) violation("time went backwards at replica start");
   last_time_ = now;
-  TaskShadow& shadow = tasks_[&task];
+  TaskShadow& shadow = shadow_of(task);
   shadow.work = task.work();
   if (shadow.completed) violation(task_name(task) + ": replica started after completion");
   ++shadow.running;
@@ -72,7 +76,7 @@ void InvariantChecker::on_replica_stopped(const sched::TaskState& task,
                                           const grid::Machine& machine, ReplicaStopKind kind,
                                           double now) {
   last_time_ = now;
-  TaskShadow& shadow = tasks_[&task];
+  TaskShadow& shadow = shadow_of(task);
   --shadow.running;
   if (shadow.running < 0) violation(task_name(task) + ": more stops than starts");
   auto it = machine_occupancy_.find(machine.id());
@@ -92,7 +96,7 @@ void InvariantChecker::on_replica_stopped(const sched::TaskState& task,
 
 void InvariantChecker::on_task_completed(const sched::TaskState& task, double now) {
   last_time_ = now;
-  TaskShadow& shadow = tasks_[&task];
+  TaskShadow& shadow = shadow_of(task);
   if (shadow.completed) violation(task_name(task) + ": completed twice");
   shadow.completed = true;
   if (!task.completed()) violation(task_name(task) + ": completion event but flag not set");
@@ -105,7 +109,7 @@ void InvariantChecker::on_checkpoint_saved(const sched::TaskState& task,
   if (server_down_ && expect_transfer_aborts_) {
     violation(task_name(task) + ": checkpoint save completed while the server is DOWN");
   }
-  TaskShadow& shadow = tasks_[&task];
+  TaskShadow& shadow = shadow_of(task);
   shadow.work = task.work();
   // Individual saves may carry less progress than the task's committed
   // maximum (a slower sibling replica checkpointing behind the leader); the
@@ -162,7 +166,7 @@ void InvariantChecker::on_checkpoint_lost(const sched::TaskState& task, double n
   if (!server_down_) {
     violation(task_name(task) + ": stored checkpoint lost while the server is UP");
   }
-  TaskShadow& shadow = tasks_[&task];
+  TaskShadow& shadow = shadow_of(task);
   if (shadow.completed) {
     violation(task_name(task) + ": checkpoint lost after task completion");
   }

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/observer.hpp"
@@ -62,6 +63,10 @@ class InvariantChecker final : public SimulationObserver {
   void violation(std::string message);
   [[nodiscard]] static std::string task_name(const sched::TaskState& task);
 
+  /// Shadows are keyed by (bag id, task index), not by address: a completed
+  /// bag's task slab goes back to the pool and a later bag's tasks reuse it.
+  using TaskKey = std::pair<workload::BotId, workload::TaskIndex>;
+
   struct TaskShadow {
     int running = 0;
     bool completed = false;
@@ -69,7 +74,9 @@ class InvariantChecker final : public SimulationObserver {
     double work = 0.0;
   };
 
-  std::map<const sched::TaskState*, TaskShadow> tasks_;
+  [[nodiscard]] TaskShadow& shadow_of(const sched::TaskState& task);
+
+  std::map<TaskKey, TaskShadow> tasks_;
   std::map<grid::MachineId, const sched::TaskState*> machine_occupancy_;
   /// Failed transfer attempts per machine since its current replica started
   /// (a degradation must be preceded by at least one failed attempt).

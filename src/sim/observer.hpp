@@ -6,6 +6,11 @@
 // debugging), the invariant checker (used heavily by the stress tests), and
 // any user-side instrumentation, without the engine knowing about any of
 // them. All hooks are no-ops by default.
+//
+// Lifetimes: a BotState reference stays valid for the rest of the run, but
+// its TaskStates only until the next bag arrival after the bag completes,
+// when Simulation::run recycles the bag's task storage for the arriving bag.
+// Key state kept across events by (bag id, task index), not by address.
 #pragma once
 
 #include <cstdint>

@@ -47,16 +47,64 @@ workload::WorkloadConfig make_paper_workload(const grid::GridConfig& grid_config
 
 namespace {
 
-/// Shared state of the arrival / completion callbacks. Lives on run()'s
-/// stack so the event lambdas capture a single reference (16 bytes with the
-/// bag pointer, which fits a des::Action's inline buffer).
-struct ArrivalContext {
-  sched::MultiBotScheduler* scheduler = nullptr;
-  SimulationObserver* observer = nullptr;
-  ColumnWriter* columns = nullptr;
-  des::Simulator* sim = nullptr;
-  std::size_t completed = 0;
-  std::size_t total = 0;
+/// Bag lifetimes: a bag's state is built at its arrival event and its task
+/// storage goes back to the pool after it completes. Lives on run()'s stack
+/// so an arrival event captures one reference and a spec index (16 bytes,
+/// which fits a des::Action's inline buffer).
+class BagLifecycle {
+ public:
+  BagLifecycle(const std::vector<workload::BotSpec>& specs, sched::TaskOrder task_order,
+               sched::MultiBotScheduler& scheduler, SimulationObserver* observer,
+               ColumnWriter& columns, des::Simulator& sim, std::pmr::memory_resource* mem)
+      : specs_(specs), task_order_(task_order), scheduler_(scheduler), observer_(observer),
+        columns_(columns), sim_(sim), mem_(mem), bots_(mem), arrived_(specs.size(), nullptr, mem),
+        finished_(mem) {}
+
+  /// The arrival event of spec `i`.
+  void arrive(std::size_t i) {
+    // Every bag completed since the last arrival has stopped its replicas
+    // (its completing event is over): recycle that storage before this bag
+    // draws its own from the pool.
+    for (sched::BotState* bot : finished_) bot->release_task_storage();
+    finished_.clear();
+    sched::BotState& bot = bots_.emplace_back(specs_[i], task_order_, mem_);
+    arrived_[i] = &bot;
+    if (observer_ != nullptr) observer_->on_bot_submitted(bot, sim_.now());
+    scheduler_.submit(bot);
+  }
+
+  /// The scheduler's bag-completion callback. It runs inside the completing
+  /// event, before that task's sibling replicas stop, so the release waits
+  /// for the next arrival.
+  void complete(sched::BotState& bot) {
+    ++completed_;
+    columns_.on_bot_completed(bot, sim_.now());
+    if (observer_ != nullptr) observer_->on_bot_completed(bot, sim_.now());
+    finished_.push_back(&bot);
+    if (completed_ == specs_.size()) sim_.stop();  // availability events would run forever
+  }
+
+  [[nodiscard]] std::size_t completed() const noexcept { return completed_; }
+  /// Spec `i`'s bag state, or nullptr if the bag has not arrived.
+  [[nodiscard]] const sched::BotState* arrived(std::size_t i) const noexcept {
+    return arrived_[i];
+  }
+
+ private:
+  const std::vector<workload::BotSpec>& specs_;
+  sched::TaskOrder task_order_;
+  sched::MultiBotScheduler& scheduler_;
+  SimulationObserver* observer_;
+  ColumnWriter& columns_;
+  des::Simulator& sim_;
+  std::pmr::memory_resource* mem_;
+  /// Bag states in arrival order: a pooled deque keeps their addresses
+  /// stable without a per-bag unique_ptr.
+  std::pmr::deque<sched::BotState> bots_;
+  std::pmr::vector<sched::BotState*> arrived_;
+  /// Completed bags whose task storage is still held.
+  std::pmr::vector<sched::BotState*> finished_;
+  std::size_t completed_ = 0;
 };
 
 /// Self-rescheduling queue monitor. The tick event captures only `this`
@@ -247,27 +295,13 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
     adversary_outages->start(on_failure, on_repair);
   }
 
-  // Bag states live in a pooled deque (stable addresses, no per-bag
-  // unique_ptr); their task slabs and dispatch structures draw from `mem`.
-  std::pmr::deque<sched::BotState> bots{mem};
-  for (const workload::BotSpec& spec : specs) {
-    bots.emplace_back(spec, task_order, mem);
-  }
-
-  ArrivalContext ctx{&scheduler, observer, &columns, &sim, 0, bots.size()};
-  scheduler.set_bot_completed_callback([&ctx](sched::BotState& bot) {
-    ++ctx.completed;
-    ctx.columns->on_bot_completed(bot, ctx.sim->now());
-    if (ctx.observer != nullptr) ctx.observer->on_bot_completed(bot, ctx.sim->now());
-    if (ctx.completed == ctx.total) ctx.sim->stop();  // availability events would run forever
-  });
-
-  for (sched::BotState& bot_ref : bots) {
-    sched::BotState* bot = &bot_ref;
-    sim.schedule_at(bot->arrival_time(), [&ctx, bot] {
-      if (ctx.observer != nullptr) ctx.observer->on_bot_submitted(*bot, ctx.sim->now());
-      ctx.scheduler->submit(*bot);
-    });
+  // A bag's state exists from its arrival event to the arrival after its
+  // completion; its task slab and dispatch structures draw from `mem` and
+  // return there (see BagLifecycle).
+  BagLifecycle bags(specs, task_order, scheduler, observer, columns, sim, mem);
+  scheduler.set_bot_completed_callback([&bags](sched::BotState& bot) { bags.complete(bot); });
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    sim.schedule_at(specs[i].arrival_time, [&bags, i] { bags.arrive(i); });
   }
 
   // --- queue monitor ---
@@ -281,7 +315,7 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   if (config_.before_run_loop) config_.before_run_loop();
   sim.run_until(horizon);
   if (config_.after_run_loop) config_.after_run_loop();
-  const bool saturated = ctx.completed < ctx.total;
+  const bool saturated = bags.completed() < specs.size();
   const double end_time = sim.now();
   if (observer != nullptr) {
     observer->on_run_finished(sim.stats(), scheduler.sched_stats(), engine.fault_stats(end_time),
@@ -290,7 +324,7 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
 
   // --- results ---
   result.saturated = saturated;
-  result.bots_completed = ctx.completed;
+  result.bots_completed = bags.completed();
   result.end_time = end_time;
   result.utilization = engine.utilization(end_time);
   result.decayed_utilization = columns.decayed_utilization(end_time);
@@ -312,28 +346,33 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
   result.sched = scheduler.sched_stats();
   result.faults = engine.fault_stats(end_time);
 
-  result.bots.reserve(bots.size());
-  for (std::size_t i = 0; i < bots.size(); ++i) {
-    const sched::BotState& bot = bots[i];
+  result.bots.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const workload::BotSpec& spec = specs[i];
+    // A bag that had not arrived by the horizon has no state: its record
+    // comes from the spec, whose work sum runs in the BotState constructor's
+    // order.
+    const sched::BotState* bot = bags.arrived(i);
     BotRecord record;
-    record.id = bot.id();
-    record.arrival_time = bot.arrival_time();
-    record.granularity = bot.granularity();
-    record.num_tasks = bot.num_tasks();
-    record.total_work = bot.total_work();
-    record.completed = bot.completed();
-    if (bot.completed()) {
-      record.first_dispatch_time = bot.first_dispatch_time();
-      record.completion_time = bot.completion_time();
-      record.turnaround = bot.turnaround();
-      record.waiting_time = bot.waiting_time();
-      record.makespan = bot.makespan();
+    record.id = spec.id;
+    record.arrival_time = spec.arrival_time;
+    record.granularity = spec.granularity;
+    record.num_tasks = spec.tasks.size();
+    record.total_work = bot != nullptr ? bot->total_work() : spec.total_work();
+    record.completed = bot != nullptr && bot->completed();
+    if (record.completed) {
+      record.first_dispatch_time = bot->first_dispatch_time();
+      record.completion_time = bot->completion_time();
+      record.turnaround = bot->turnaround();
+      record.waiting_time = bot->waiting_time();
+      record.makespan = bot->makespan();
     } else {
       // Censored at the horizon: a lower bound on the true turnaround.
-      record.first_dispatch_time = bot.ever_dispatched() ? bot.first_dispatch_time() : end_time;
+      record.first_dispatch_time =
+          bot != nullptr && bot->ever_dispatched() ? bot->first_dispatch_time() : end_time;
       record.completion_time = end_time;
-      record.turnaround = end_time - bot.arrival_time();
-      record.waiting_time = record.first_dispatch_time - bot.arrival_time();
+      record.turnaround = end_time - spec.arrival_time;
+      record.waiting_time = record.first_dispatch_time - spec.arrival_time;
       record.makespan = record.turnaround - record.waiting_time;
     }
     const double ideal_service =
@@ -377,7 +416,7 @@ const SimulationResult& Simulation::run(SimulationWorkspace& workspace,
     }
   }
   if (saturated) {
-    util::log_debug("simulation saturated: ", ctx.completed, "/", ctx.total,
+    util::log_debug("simulation saturated: ", bags.completed(), "/", specs.size(),
                     " bags completed by t=", end_time, " (policy ",
                     sched::to_string(config_.policy), ")");
   }

@@ -11,7 +11,10 @@
 //   * every per-replication container (machines, availability processes,
 //     BotStates with their task slabs, DispatchIndex maps, engine replica
 //     table) draws from a pooled std::pmr resource whose freed blocks are
-//     recycled instead of returned to the global heap,
+//     recycled instead of returned to the global heap. Bag task storage
+//     cycles within a replication too: a bag's slab is drawn at its arrival
+//     and handed back after it completes (see Simulation::run), so the pool
+//     holds slabs for the bags in the system, not for the whole workload,
 //   * the workload-spec, monitor-sample, and result buffers keep their
 //     capacity across replications.
 //

@@ -31,22 +31,24 @@ namespace dg::util {
   return h;
 }
 
-/// Appends the raw bytes of a trivially-copyable value to `out`.
-template <typename T>
-void put_pod(std::vector<std::uint8_t>& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "put_pod needs a trivially copyable type");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), bytes, bytes + sizeof(T));
-}
-
 /// Appends `count` trivially-copyable elements (no length prefix — callers
 /// write their own counts so formats stay self-describing at the right
 /// granularity).
 template <typename T>
 void put_array(std::vector<std::uint8_t>& out, const T* data, std::size_t count) {
   static_assert(std::is_trivially_copyable_v<T>, "put_array needs a trivially copyable type");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), bytes, bytes + count * sizeof(T));
+  // resize + memcpy rather than a range insert: GCC 12 flags the insert into
+  // a just-cleared vector with a false -Wstringop-overflow.
+  const std::size_t offset = out.size();
+  out.resize(offset + count * sizeof(T));
+  if (count > 0) std::memcpy(out.data() + offset, data, count * sizeof(T));
+}
+
+/// Appends the raw bytes of a trivially-copyable value to `out`.
+template <typename T>
+void put_pod(std::vector<std::uint8_t>& out, const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>, "put_pod needs a trivially copyable type");
+  put_array(out, &value, 1);
 }
 
 /// Bounds-checked reader over a byte range. Every underrun throws

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <deque>
 #include <numeric>
 #include <random>
 #include <set>
@@ -234,6 +235,158 @@ TEST(BotState, RequeueServedAfterValidation) {
   bot.after_replica_started(bot.task(1));
   EXPECT_EQ(bot.peek_requeued(), nullptr);
 }
+
+/// Runs every task of `bot` through one replica, in the engine's call order:
+/// start at `start`, complete at `end`, then stop the winner (unless
+/// `stop_winners` is false).
+void run_to_completion(BotState& bot, double start, double end, bool stop_winners = true) {
+  for (std::size_t i = 0; i < bot.num_tasks(); ++i) {
+    TaskState& task = bot.task(i);
+    task.on_replica_started(start);
+    bot.after_replica_started(task);
+    task.mark_completed(end);
+    bot.on_task_completed(task);
+    if (!stop_winners) continue;
+    task.on_replica_stopped(end);
+    bot.after_replica_stopped(task);
+  }
+}
+
+TEST(BotState, ReleasedBagKeepsItsScalars) {
+  BotState bot(make_spec({10.0, 20.0}, /*arrival=*/5.0, /*id=*/7));
+  bot.note_dispatch(6.0);
+  run_to_completion(bot, 6.0, 9.0);
+  bot.note_completion(9.0);
+  bot.release_task_storage();
+  EXPECT_EQ(bot.id(), 7u);
+  EXPECT_EQ(bot.num_tasks(), 2u);
+  EXPECT_EQ(bot.completed_tasks(), 2u);
+  EXPECT_TRUE(bot.completed());
+  EXPECT_DOUBLE_EQ(bot.total_work(), 30.0);
+  EXPECT_DOUBLE_EQ(bot.turnaround(), 4.0);
+  EXPECT_DOUBLE_EQ(bot.waiting_time(), 1.0);
+  EXPECT_FALSE(bot.has_pending());
+  EXPECT_FALSE(bot.has_stale_queue_entries());
+}
+
+TEST(BotStateDeath, ReleasedBagRejectsTaskAccess) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        BotState bot(make_spec({10.0}));
+        run_to_completion(bot, 1.0, 2.0);
+        bot.release_task_storage();
+        (void)bot.task(0);
+      },
+      "bag storage released");
+}
+
+TEST(BotStateDeath, ReleaseWhileReplicasRunAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        BotState bot(make_spec({10.0}));
+        run_to_completion(bot, 1.0, 2.0, /*stop_winners=*/false);
+        bot.release_task_storage();  // the winning replica has not stopped
+      },
+      "before its last replica stopped");
+}
+
+/// A task the resubmission pools may hand out right now.
+bool dispatchable(const TaskState* task) {
+  return task->needs_resubmission() && !task->completed() && task->running_replicas() == 0;
+}
+
+bool any_valid_entry(const std::deque<TaskState*>& pool) {
+  return std::any_of(pool.begin(), pool.end(), dispatchable);
+}
+
+/// The peeks' lazy pop, applied to a mirror of a bag's pool.
+TaskState* peek_mirror(std::deque<TaskState*>& pool) {
+  while (!pool.empty() && !dispatchable(pool.front())) pool.pop_front();
+  return pool.empty() ? nullptr : pool.front();
+}
+
+// Randomized model check of the O(1) pool predicates: random start /
+// failure / completion / push / probe sequences (in the engine's call
+// order) against the queue-scan definitions of has_pending() and
+// has_stale_queue_entries(), evaluated on a mirror of the bag's pool that
+// is pushed with it and popped by the peeks' own rule.
+class PoolCountModel : public ::testing::TestWithParam<TaskOrder> {};
+
+TEST_P(PoolCountModel, PredicatesMatchQueueScans) {
+  const TaskOrder order = GetParam();
+  std::mt19937_64 rng(20080416);
+  int stale_steps = 0;
+  int pool_only_steps = 0;
+  for (int round = 0; round < 80; ++round) {
+    std::vector<double> works;
+    const std::size_t n = 1 + rng() % 12;
+    for (std::size_t i = 0; i < n; ++i) works.push_back(10.0 * static_cast<double>(1 + rng() % 3));
+    BotState bot(make_spec(works), order);
+    // A scheduler feeds one pool: priority resubmission (WQR-FT) or the
+    // plain re-queue (WQR / WorkQueue).
+    const bool priority = round % 2 == 0;
+    const auto push = [&](TaskState& task) {
+      if (priority) {
+        bot.push_resubmission(task);
+      } else {
+        bot.push_requeue(task);
+      }
+    };
+    std::deque<TaskState*> pool;
+    double now = 0.0;
+    for (int step = 0; step < 300 && !bot.completed(); ++step) {
+      now += 1.0;
+      TaskState& task = bot.task(rng() % n);
+      const int count = task.running_replicas();
+      const unsigned dice = static_cast<unsigned>(rng() % 100);
+      if (dice < 15) {  // a probe pops the pool's stale front entries
+        TaskState* expected = peek_mirror(pool);
+        ASSERT_EQ(priority ? bot.peek_resubmission() : bot.peek_requeued(), expected)
+            << "round " << round << " step " << step;
+      } else if (task.completed()) {
+        continue;
+      } else if (dice < 55) {  // start a replica
+        task.on_replica_started(now);
+        bot.after_replica_started(task);
+      } else if (dice < 85) {
+        if (count > 0) {  // one replica fails
+          task.on_replica_stopped(now);
+          bot.after_replica_stopped(task);
+        }
+        if (task.running_replicas() == 0) {  // the idle task is queued
+          push(task);
+          pool.push_back(&task);
+        }
+      } else if (count > 0) {  // a replica wins: completion, then every replica stops
+        task.mark_completed(now);
+        bot.on_task_completed(task);
+        for (int r = 0; r < count; ++r) {
+          task.on_replica_stopped(now);
+          bot.after_replica_stopped(task);
+        }
+      }
+      const bool unstarted = bot.peek_unstarted() != nullptr;
+      const bool pending = any_valid_entry(pool) || unstarted;
+      const bool stale = !pool.empty() && !any_valid_entry(pool);
+      ASSERT_EQ(bot.has_pending(), pending) << "round " << round << " step " << step;
+      ASSERT_EQ(bot.has_stale_queue_entries(), stale) << "round " << round << " step " << step;
+      if (stale) ++stale_steps;
+      if (pending && !unstarted) ++pool_only_steps;
+    }
+  }
+  // Both predicates were exercised away from their trivial answers.
+  EXPECT_GT(stale_steps, 100);
+  EXPECT_GT(pool_only_steps, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(TaskOrders, PoolCountModel,
+                         ::testing::Values(TaskOrder::kArrival, TaskOrder::kDescendingWork),
+                         [](const ::testing::TestParamInfo<TaskOrder>& param) {
+                           return param.param == TaskOrder::kArrival ? "Arrival"
+                                                                     : "DescendingWork";
+                         });
 
 // Randomized model check of the replica buckets: random start / failure /
 // completion sequences (in the engine's call order) against a std::set

@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "sched/policy.hpp"
 #include "sim/observer.hpp"
 #include "sim/simulation.hpp"
+#include "sim/workspace.hpp"
 
 namespace dg::sim {
 namespace {
@@ -168,6 +171,47 @@ TEST(Simulation, TinyHorizonMarksSaturation) {
       EXPECT_DOUBLE_EQ(bot.completion_time, result.end_time);
     }
   }
+}
+
+/// Where each arriving bag's task slab lives, and whether any bag arrived
+/// while an earlier one was still running.
+struct SlabRecorder final : SimulationObserver {
+  std::set<const sched::TaskState*> slabs;
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+  bool overlapped = false;
+
+  void on_bot_submitted(const sched::BotState& bot, double /*now*/) override {
+    if (completed != submitted) overlapped = true;
+    ++submitted;
+    slabs.insert(&bot.task(0));
+  }
+  void on_bot_completed(const sched::BotState& /*bot*/, double /*now*/) override {
+    ++completed;
+  }
+};
+
+TEST(Simulation, CompletedBagsHandTheirTaskStorageBack) {
+  // Bags far apart in time: each completes long before the next arrives.
+  auto bags = std::make_shared<std::vector<workload::BotSpec>>(30);
+  for (std::size_t k = 0; k < bags->size(); ++k) {
+    workload::BotSpec& bag = (*bags)[k];
+    bag.id = static_cast<workload::BotId>(k);
+    bag.arrival_time = 1.0e7 * static_cast<double>(k);
+    bag.granularity = 1000.0;
+    bag.tasks.assign(400, workload::TaskSpec{1000.0});
+  }
+  SimulationConfig config =
+      small_config(sched::PolicyKind::kFcfsShare, grid::AvailabilityLevel::kAlways);
+  config.trace_bots = bags;
+  SlabRecorder recorder;
+  SimulationWorkspace workspace;
+  const SimulationResult& result = Simulation(config).run(workspace, &recorder);
+  ASSERT_EQ(result.bots_completed, bags->size());
+  EXPECT_FALSE(recorder.overlapped);
+  // Each arrival draws the slab its predecessor handed back to the pool:
+  // one address for the whole run, not one per bag.
+  EXPECT_LE(recorder.slabs.size(), 2u);
 }
 
 TEST(Simulation, UtilizationNearTargetInStableSystem) {
