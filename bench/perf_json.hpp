@@ -22,8 +22,8 @@ namespace dg::bench {
 /// with the mechanism they measure):
 /// {benchmark, events_per_sec, wall_s, peak_rss_kb, config, seed,
 ///  machines_per_dispatch, transfer_retries, replicas_degraded,
-///  replications_per_sec, threads, allocs_per_replication, procs,
-///  worker_busy_s, worker_stall_s, spec_launched, spec_committed,
+///  replications_per_sec, threads, allocs_per_replication, worker_busy_s,
+/// worker_stall_s, spec_launched, spec_committed,
 ///  spec_discarded, tails: {turnaround_p50, turnaround_p95, turnaround_p99,
 ///  slowdown_p95, slowdown_p99}}.
 /// `benchmark`, `wall_s`, and `config` are always emitted; every other field
@@ -54,11 +54,8 @@ struct PerfRecord {
   double replications_per_sec = 0;
   std::uint64_t threads = 0;
   double allocs_per_replication = 0;
-  /// Sharded-runner records (exp/shard.hpp) only; zero elsewhere. Worker
-  /// processes the campaign was sharded across.
-  std::uint64_t procs = 0;
   /// Execution-shape accounting (exp::ExecutionStats) for the runner suites;
-  /// zero elsewhere. Summed across lanes (pool workers / worker processes):
+  /// zero elsewhere. Summed across lanes (pool workers):
   /// busy is time executing replications, stall is time waiting for
   /// launchable work — the straggler/barrier penalty the pipelined hand-out
   /// removes. Wall-clock derived, so not deterministic.
@@ -148,7 +145,6 @@ inline void write_perf_json(std::ostream& os, const std::vector<PerfRecord>& rec
     field("replications_per_sec", r.replications_per_sec);
     field("threads", r.threads);
     field("allocs_per_replication", r.allocs_per_replication);
-    field("procs", r.procs);
     field("worker_busy_s", r.worker_busy_s);
     field("worker_stall_s", r.worker_stall_s);
     field("spec_launched", r.spec_launched);

@@ -29,7 +29,6 @@
 
 #include "exp/paper.hpp"
 #include "exp/runner.hpp"
-#include "exp/shard.hpp"
 #include "sim/simulation.hpp"
 #include "sim/workspace.hpp"
 #include "util/alloc_interposer.hpp"
@@ -114,49 +113,31 @@ PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size
 /// The multi-round precision loop (min 2, max 4, unreachable CI target, so
 /// every cell runs to the cap and the barrier scheduler takes three rounds):
 /// the shape where barrier-synchronized hand-out pays its straggler tax and
-/// the pipelined scheduler doesn't. Threaded when `procs` == 0, sharded
-/// (each worker single-threaded) otherwise; results are bit-identical across
-/// all four combinations — only the wall clock moves.
+/// the pipelined scheduler doesn't. Results are bit-identical across both
+/// shapes — only the wall clock moves.
 PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                        std::size_t procs, bool pipeline) {
+                        bool pipeline) {
   dg::exp::RunOptions options;
   options.min_replications = 2;
   options.max_replications = 4;
   options.target_relative_error = 1e-9;  // unreachable: identical work per shape
-  options.threads = procs == 0 ? threads : 1;
+  options.threads = threads;
   options.pipeline = pipeline;
 
+  Stopwatch timer;
+  dg::exp::ExperimentRunner runner(options);
+  const auto results = runner.run(cells);
+  PerfRecord record;
+  record.wall_s = timer.seconds();
   std::size_t replications = 0;
   std::uint64_t events = 0;
-  PerfRecord record;
-  Stopwatch timer;
-  if (procs == 0) {
-    dg::exp::ExperimentRunner runner(options);
-    const auto results = runner.run(cells);
-    record.wall_s = timer.seconds();
-    for (const dg::exp::CellResult& cell : results) {
-      replications += cell.replications;
-      events += cell.events_executed;
-    }
-    fill_exec_stats(record, runner.exec_stats());
-    record.benchmark = std::string("replication/rounds/") + (pipeline ? "pipelined" : "barrier");
-    record.threads = threads;
-  } else {
-    dg::exp::ShardOptions shard;
-    shard.procs = procs;
-    dg::exp::ShardedRunner runner(options, shard);
-    const auto results = runner.run(cells);
-    record.wall_s = timer.seconds();
-    for (const dg::exp::CellResult& cell : results) {
-      replications += cell.replications;
-      events += cell.events_executed;
-    }
-    fill_exec_stats(record, runner.exec_stats());
-    record.benchmark =
-        std::string("replication/campaign/") + (pipeline ? "pipelined" : "barrier");
-    record.threads = 1;
-    record.procs = procs;
+  for (const dg::exp::CellResult& cell : results) {
+    replications += cell.replications;
+    events += cell.events_executed;
   }
+  fill_exec_stats(record, runner.exec_stats());
+  record.benchmark = std::string("replication/rounds/") + (pipeline ? "pipelined" : "barrier");
+  record.threads = threads;
   record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
                   std::to_string(cells.front().config.workload.num_bots) +
                   ", reps=2..4 (uncapped tre)";
@@ -165,52 +146,9 @@ PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::siz
   record.events_per_sec =
       record.wall_s > 0.0 ? static_cast<double>(events) / record.wall_s : 0.0;
   record.peak_rss_kb = dg::bench::peak_rss_kb();
-  std::printf("  %-34s %2zu %s  %8.1f reps/s  busy %5.1fs stall %5.1fs  (%.2f s)\n",
-              record.benchmark.c_str(), procs == 0 ? threads : procs,
-              procs == 0 ? "thr" : "prc", record.replications_per_sec, record.worker_busy_s,
-              record.worker_stall_s, record.wall_s);
-  return record;
-}
-
-/// One timed ShardedRunner sweep at `procs` worker processes (each worker
-/// single-threaded).
-PerfRecord timed_sharded_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size_t procs,
-                               std::size_t reps) {
-  dg::exp::RunOptions options;
-  options.min_replications = reps;
-  options.max_replications = reps;
-  options.threads = 1;
-
-  dg::exp::ShardOptions shard;
-  shard.procs = procs;
-
-  Stopwatch timer;
-  dg::exp::ShardedRunner runner(options, shard);
-  const auto results = runner.run(cells);
-  const double wall = timer.seconds();
-
-  std::size_t replications = 0;
-  std::uint64_t events = 0;
-  for (const dg::exp::CellResult& cell : results) {
-    replications += cell.replications;
-    events += cell.events_executed;
-  }
-
-  PerfRecord record;
-  record.benchmark = "replication/throughput/sharded";
-  record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
-                  std::to_string(cells.front().config.workload.num_bots) + ", reps=" +
-                  std::to_string(reps);
-  record.procs = procs;
-  record.threads = 1;
-  record.wall_s = wall;
-  record.replications_per_sec =
-      wall > 0.0 ? static_cast<double>(replications) / wall : 0.0;
-  record.events_per_sec = wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
-  record.peak_rss_kb = dg::bench::peak_rss_kb();
-  fill_exec_stats(record, runner.exec_stats());
-  std::printf("  %-34s %2zu prc  %8.1f reps/s  (%.2f s)\n", record.benchmark.c_str(), procs,
-              record.replications_per_sec, wall);
+  std::printf("  %-34s %2zu thr  %8.1f reps/s  busy %5.1fs stall %5.1fs  (%.2f s)\n",
+              record.benchmark.c_str(), threads, record.replications_per_sec,
+              record.worker_busy_s, record.worker_stall_s, record.wall_s);
   return record;
 }
 
@@ -292,32 +230,13 @@ int main(int argc, char** argv) {
     records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true, "workspace"));
   }
 
-  // Process-count axis: the same campaign sharded across forked worker
-  // processes. DGSCHED_PROCS overrides
-  // the top of the ladder; the default reaches 4 even on smaller machines so
-  // the 4-vs-1 scaling row always exists (oversubscribed on fewer cores).
-  std::vector<std::size_t> proc_counts;
-  const std::size_t top_procs = dg::exp::ShardOptions::from_env().procs > 1
-                                    ? dg::exp::ShardOptions::from_env().procs
-                                    : std::max<std::size_t>(4, std::min<std::size_t>(hw, 8));
-  for (std::size_t p = 1; p < top_procs; p *= 2) proc_counts.push_back(p);
-  proc_counts.push_back(top_procs);
-  std::cout << "sharded (multi-process) throughput: procs 1.." << top_procs << "\n";
-  for (const std::size_t procs : proc_counts) {
-    records.push_back(timed_sharded_sweep(cells, procs, reps));
-  }
-
-  // Pipelined-vs-barrier axis: the multi-round precision loop where
-  // the barrier scheduler drains at every round boundary. Threaded at the
-  // top thread count, sharded across the process ladder; CI asserts the
-  // pipelined 4-process campaign is at least as fast as the barrier one.
+  // Pipelined-vs-barrier axis: the multi-round precision loop where the
+  // barrier scheduler drains at every round boundary, at the top thread
+  // count. CI asserts the pipelined run is at least as fast as the barrier
+  // one.
   std::cout << "pipelined vs barrier (multi-round precision loop):\n";
-  records.push_back(timed_rounds(cells, top, 0, /*pipeline=*/false));
-  records.push_back(timed_rounds(cells, top, 0, /*pipeline=*/true));
-  for (const std::size_t procs : proc_counts) {
-    records.push_back(timed_rounds(cells, 1, procs, /*pipeline=*/false));
-    records.push_back(timed_rounds(cells, 1, procs, /*pipeline=*/true));
-  }
+  records.push_back(timed_rounds(cells, top, /*pipeline=*/false));
+  records.push_back(timed_rounds(cells, top, /*pipeline=*/true));
 
   for (PerfRecord& record : steady_state_allocs()) records.push_back(record);
 

@@ -22,22 +22,18 @@
 // CI runs the smoke grid twice under different shapes and diffs the files
 // byte for byte.
 //
-// With DGSCHED_PROCS set, the risk-cliff grid runs through the
-// multi-process ShardedRunner instead of the in-process ExperimentRunner:
-// cells shard across forked workers, and every completed replication is
-// journaled so a killed campaign resumes from the journal (exp/shard.hpp).
-// Output stays byte-identical to the single-process run — CI's shard-smoke
-// job kills a 2-worker campaign mid-flight, resumes it, and diffs against
-// the 1-process reference. The journal lives next to the outputs and is
-// removed on successful completion unless --keep-journal is passed.
+// With DGSCHED_JOURNAL=path, the risk-cliff grid's runner journals every
+// committed replication there (exp/journal.hpp), the same rule as every
+// other driver: a killed campaign rerun with the same path resumes from the
+// journal and its output stays byte-identical to an uninterrupted run. The
+// journal is left in place on completion.
 //
-// Usage: ./robustness_campaign [output_dir] [--keep-journal]   # default: cwd
+// Usage: ./robustness_campaign [output_dir]   # default: cwd
 // Env:   DGSCHED_CAMPAIGN_GRID=smoke|full, DGSCHED_CAMPAIGN_SEEDS=N,
-//        DGSCHED_ADVERSARY=0|1, DGSCHED_BOTS=N, DGSCHED_PROCS=N,
-//        DGSCHED_JOURNAL=path, plus the usual runner knobs.
+//        DGSCHED_ADVERSARY=0|1, DGSCHED_BOTS=N, DGSCHED_JOURNAL=path, plus
+//        the usual runner knobs.
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <iostream>
@@ -46,7 +42,6 @@
 
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
-#include "exp/shard.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -133,22 +128,9 @@ void write_json(std::ostream& os, const exp::CampaignOptions& campaign,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_dir = ".";
-  bool keep_journal = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--keep-journal") {
-      keep_journal = true;
-    } else {
-      out_dir = argv[i];
-    }
-  }
+  const std::string out_dir = argc > 1 ? argv[1] : ".";
   const exp::RunOptions options = exp::RunOptions::from_env();
   const exp::CampaignOptions campaign = exp::CampaignOptions::from_env();
-  // DGSCHED_PROCS selects the multi-process path; the journal defaults next
-  // to the outputs (override with DGSCHED_JOURNAL).
-  const bool sharded = exp::env_size("DGSCHED_PROCS").has_value();
-  exp::ShardOptions shard = exp::ShardOptions::from_env();
-  if (shard.journal_path.empty()) shard.journal_path = out_dir + "/robustness_campaign.journal";
 
   exp::CampaignAxes axes = campaign.smoke ? exp::CampaignAxes::smoke() : exp::CampaignAxes{};
   axes.num_bots = exp::env_num_bots().value_or(axes.num_bots);
@@ -171,28 +153,16 @@ int main(int argc, char** argv) {
   const std::vector<exp::CampaignCell> cells = exp::expand_campaign(axes);
   std::cout << "=== Robustness campaign: " << (campaign.smoke ? "smoke" : "full") << " grid, "
             << cells.size() << " cells, adversary "
-            << (campaign.adversary ? "on" : "off");
-  if (sharded) std::cout << ", " << std::max<std::size_t>(1, shard.procs) << " worker procs";
-  std::cout << " ===\n\n";
+            << (campaign.adversary ? "on" : "off") << " ===\n\n";
 
   std::vector<exp::NamedConfig> named;
   named.reserve(cells.size());
   for (const exp::CampaignCell& cell : cells) {
     named.push_back(exp::NamedConfig{cell.label, cell.config});
   }
-  std::vector<exp::CellResult> results;
-  exp::ExecutionStats exec;
-  if (sharded) {
-    exp::ShardedRunner runner(options, shard);
-    results = runner.run(named);
-    exec = runner.exec_stats();
-    std::cout << "sharded: " << runner.recovered_replications()
-              << " replications resumed from journal\n";
-  } else {
-    exp::ExperimentRunner runner(options);
-    results = runner.run(named);
-    exec = runner.exec_stats();
-  }
+  exp::ExperimentRunner runner(options);
+  const std::vector<exp::CellResult> results = runner.run(named);
+  const exp::ExecutionStats& exec = runner.exec_stats();
   // Execution-shape banner (stdout is not part of the byte-diffed artifacts;
   // wall-clock numbers legitimately differ between bit-identical runs).
   std::printf(
@@ -266,13 +236,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << out_dir << "/robustness_heatmap.csv, robustness_seeds.csv, "
             << "robustness_campaign.json\n";
-
-  // The campaign completed and its outputs are on disk: the journal has
-  // served its purpose. --keep-journal retains it, e.g. to rerun with more
-  // seeds or inspect the records.
-  if (sharded && !keep_journal) {
-    std::error_code ec;
-    std::filesystem::remove(shard.journal_path, ec);
-  }
   return 0;
 }

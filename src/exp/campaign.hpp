@@ -15,7 +15,7 @@
 // reuses exp::ExperimentRunner (post-barrier build-order folds), and the
 // seed-sensitivity fan-out writes into preallocated per-seed slots folded in
 // ascending seed index — results are bit-identical across DGSCHED_THREADS /
-// DGSCHED_BATCH / DGSCHED_PROCS.
+// DGSCHED_BATCH and across a journal kill/resume (DGSCHED_JOURNAL).
 #pragma once
 
 #include <cstdint>

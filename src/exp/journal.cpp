@@ -7,12 +7,14 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "exp/runner.hpp"
 #include "rng/random_stream.hpp"
 #include "rng/splitmix64.hpp"
+#include "sim/config_io.hpp"
 #include "util/logging.hpp"
 
 namespace dg::exp {
@@ -80,7 +82,17 @@ std::uint64_t CampaignJournal::campaign_signature(const std::vector<NamedConfig>
                                                  const RunOptions& options) {
   std::uint64_t h = rng::fnv1a64("campaign.journal");
   h = rng::mix_seed(h, cells.size());
-  for (const NamedConfig& cell : cells) h = rng::mix_seed(h, rng::fnv1a64(cell.label));
+  for (const NamedConfig& cell : cells) {
+    h = rng::mix_seed(h, rng::fnv1a64(cell.label));
+    // The whole config, not just the label: labels need not name every
+    // parameter a driver varies (bag count, adversary). The seed is zeroed
+    // because the runner overwrites it per replication.
+    sim::SimulationConfig config = cell.config;
+    config.seed = 0;
+    std::ostringstream text;
+    sim::save_simulation_config(text, config);
+    h = rng::mix_seed(h, rng::fnv1a64(text.str()));
+  }
   h = rng::mix_seed(h, options.base_seed);
   h = rng::mix_seed(h, options.min_replications);
   h = rng::mix_seed(h, options.max_replications);
@@ -116,7 +128,8 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t signature)
       throw std::runtime_error("CampaignJournal: " + path_ +
                                " is not a campaign journal of this format");
     } else if (header.signature != signature) {
-      util::log_info("journal '", path_, "': campaign signature mismatch, starting fresh");
+      util::log_warn("journal '", path_,
+                     "': written by a different campaign (signature mismatch), starting fresh");
       fresh = true;
     }
   }

@@ -1,24 +1,26 @@
 // Append-only completion journal: a killed campaign resumes, not recomputes.
 //
-// The sharded runner (exp/shard.hpp) appends one record per finished
-// replication — (cell, replication, serialized ReplicationSummary) — to a
-// journal file, fsync'd after each received chunk. On reopen, the journal
-// scans the longest valid prefix (every record checksummed), truncates any
-// torn tail left by a kill mid-append, and hands the recovered records back;
-// the runner folds them into its round slots instead of dispatching those
-// jobs again. Because the fold order is build order regardless of where a
-// summary came from (a worker message or the journal), a resumed campaign's
-// output is byte-identical to an uninterrupted run.
+// ExperimentRunner (exp/runner.hpp, RunOptions::journal_path) appends one
+// record per committed replication — (cell, replication, serialized
+// ReplicationSummary) — in the canonical order of exp/pipeline.hpp, and the
+// delivering worker fsyncs once per delivery, outside the runner mutex. On
+// reopen, the journal scans the longest valid prefix (every record
+// checksummed), truncates any torn tail left by a kill mid-append, and hands
+// the recovered records back; the runner folds them through the ordered
+// commit instead of dispatching those jobs again. Because the fold order is
+// fixed regardless of where a summary came from (a worker or the journal),
+// a resumed campaign's output is byte-identical to an uninterrupted run.
 //
 // File layout:
 //   header: magic "DGJL" + format version (u32) + campaign signature (u64)
 //   record: payload_size u32 | cell u32 | replication u32 | checksum u64
 //           | payload (serialized ReplicationSummary)
 // where checksum = fnv1a64 over (cell, replication, payload). The campaign
-// signature hashes the cell labels, cell count, and the precision-relevant
-// RunOptions: a journal replayed against a *different* campaign is discarded
-// (fresh start, with a warning) rather than folded into the wrong cells. A
-// bad magic or version is an error — that file is not ours to overwrite.
+// signature hashes the cell count, each cell's label and config, and the
+// precision-relevant RunOptions: a journal replayed against a *different*
+// campaign is discarded (fresh start, with a warning) rather than folded
+// into the wrong cells. A bad magic or version is an error — that file is
+// not ours to overwrite.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +38,12 @@ class CampaignJournal {
  public:
   static constexpr std::uint32_t kFormatVersion = 1;
 
-  /// Identity hash binding a journal to one campaign: cell labels and count,
-  /// base seed, replication bounds, CI level, and target relative error.
-  /// Deliberately not the full configs — label lists are what drivers vary.
+  /// Identity hash binding a journal to one campaign: cell count, each
+  /// cell's label and saved config text (sim::save_simulation_config, seed
+  /// zeroed — the runner sets it per replication), base seed, replication
+  /// bounds, CI level, and target relative error. Execution-shape options
+  /// (threads, batch, pipeline, speculation, journal path) are left out, so
+  /// a campaign can resume under a different shape.
   [[nodiscard]] static std::uint64_t campaign_signature(const std::vector<NamedConfig>& cells,
                                                        const RunOptions& options);
 

@@ -118,14 +118,6 @@ std::vector<PipelineJob> PipelineState::pop_chunk(std::size_t target) {
   return out;
 }
 
-void PipelineState::requeue(const std::vector<PipelineJob>& jobs) {
-  for (const PipelineJob& job : jobs) {
-    ready_.push(ReadyEntry{cost_[job.cell], job.replication, job.cell, seq_++});
-  }
-  in_flight_ -= jobs.size();
-  prune_stale();
-}
-
 void PipelineState::decide(std::size_t c) {
   Cell& cell = cells_[c];
   if (cell.committed < options_.min_replications) return;
@@ -237,7 +229,6 @@ void PipelineState::pump_journal() {
         if (!is_recovered(c, r)) {
           journal_->append(static_cast<std::uint32_t>(c), static_cast<std::uint32_t>(r),
                            it->second);
-          if (after_append) after_append();
         }
         cell.buffer.erase(it);
       }

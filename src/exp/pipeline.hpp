@@ -1,10 +1,10 @@
 // Barrier-free campaign scheduling: continuous hand-out + ordered commit.
 //
-// Both runners used to execute campaigns in barrier-synchronized rounds:
+// The runner used to execute campaigns in barrier-synchronized rounds:
 // build every job of a round, run them all, fold after the barrier, decide
 // which cells continue. Every round's wall clock was its slowest straggler.
 // PipelineState replaces the round structure with a single state machine
-// shared by the threaded and sharded runners:
+// that ExperimentRunner's workers share:
 //
 //  * A ready queue of launchable (cell, replication) jobs, ordered the way
 //    the round hand-out used to be: largest expected cost first, FIFO ties.
@@ -34,11 +34,10 @@
 // order the historical barrier runner produced. A cursor walks that order
 // and emits each record the moment it is available, so journal bytes are
 // identical across barrier/pipelined execution, any speculation window, and
-// any worker/process count; a resumed journal is always a canonical prefix.
+// any thread count; a resumed journal is always a canonical prefix.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <queue>
 #include <set>
@@ -56,18 +55,13 @@ struct PipelineJob {
   std::size_t replication = 0;
 };
 
-/// Not thread-safe: the threaded runner serializes access under its own
-/// mutex; the sharded coordinator is single-threaded.
+/// Not thread-safe: ExperimentRunner serializes access under its own mutex.
 class PipelineState {
  public:
   /// `results` must outlive the state and already hold one initialized
   /// CellResult per cell. `journal` may be null (no journaling).
   PipelineState(const RunOptions& options, std::vector<CellResult>& results,
                 CampaignJournal* journal);
-
-  /// Invoked after every journal append (the shard fault-injection hook:
-  /// sync + _Exit at an exact record boundary).
-  std::function<void()> after_append;
 
   /// Registers a journal-recovered (cell, replication) BEFORE start(): the
   /// job is never dispatched and its record is never re-appended. Deliver
@@ -88,9 +82,6 @@ class PipelineState {
   /// Pops up to `target` launchable jobs, largest expected cost first.
   [[nodiscard]] std::vector<PipelineJob> pop_chunk(std::size_t target);
 
-  /// Returns popped-but-undelivered jobs to the queue (worker death).
-  void requeue(const std::vector<PipelineJob>& jobs);
-
   /// Delivers one completed summary: discarded if the cell already stopped
   /// below it, otherwise buffered and committed (folded) as soon as its
   /// per-cell predecessors have committed, cascading decisions / window
@@ -100,13 +91,6 @@ class PipelineState {
   /// Every cell stopped (precise, saturated, or capped) with all committed.
   [[nodiscard]] bool finished() const noexcept { return stopped_cells_ == cells_.size(); }
 
-  /// Jobs handed out and not yet delivered.
-  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
-  /// Queued + in-flight jobs — a lower bound on remaining work, used to
-  /// shrink chunk sizes toward the campaign drain.
-  [[nodiscard]] std::size_t remaining_estimate() const noexcept {
-    return ready_.size() + in_flight_;
-  }
   /// Jobs pushed by the latest barrier-mode refill (batch sizing).
   [[nodiscard]] std::size_t round_size() const noexcept { return round_size_; }
 

@@ -1,18 +1,16 @@
 // The unit of result transport between a replication and its cell fold.
 //
-// Both runners — the threaded ExperimentRunner and the multi-process
-// ShardedRunner — reduce one finished replication to this summary (scalars
-// plus copies of the tail sketches, so the worker never retains the full
-// SimulationResult whose buffers belong to a reused workspace), then fold
-// summaries into CellResults after the round barrier, in build order. The
-// fold sequence, not the execution schedule, is what makes results
-// bit-identical across threads, batch shapes, process counts, and
-// kill/resume schedules — so the fold lives here, in exactly one place.
+// ExperimentRunner reduces one finished replication to this summary
+// (scalars plus copies of the tail sketches, so the worker never retains the
+// full SimulationResult whose buffers belong to a reused workspace), then
+// folds summaries into CellResults in per-cell replication order. The fold
+// sequence, not the execution schedule, is what makes results bit-identical
+// across threads, batch shapes, and kill/resume schedules — so the fold
+// lives here, in exactly one place.
 //
-// serialize()/deserialize() move a summary across a process boundary (shard
-// protocol messages, journal records) with every double stored bitwise and
-// every sketch count exact; a deserialized summary folds to the same bits
-// as the original.
+// serialize()/deserialize() carry a summary through a journal record with
+// every double stored bitwise and every sketch count exact; a deserialized
+// summary folds to the same bits as the original.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #include <string>
 #include <utility>
 
+#include "exp/journal.hpp"
 #include "exp/pipeline.hpp"
 #include "exp/replication_summary.hpp"
 #include "rng/splitmix64.hpp"
@@ -78,6 +79,7 @@ RunOptions RunOptions::from_env(RunOptions defaults) {
   if (auto v = env_size("DGSCHED_BATCH")) defaults.batch_size = *v;
   if (auto v = env_size("DGSCHED_PIPELINE")) defaults.pipeline = *v != 0;
   if (auto v = env_size("DGSCHED_SPECULATE")) defaults.speculate = *v;
+  if (auto v = env_string("DGSCHED_JOURNAL")) defaults.journal_path = *v;
   if (auto text = env_string("DGSCHED_QUEUE")) {
     const auto backend = des::parse_queue_backend(*text);
     if (!backend.has_value()) bad_env("DGSCHED_QUEUE", *text, "\"heap4\" or \"calendar\"");
@@ -147,8 +149,29 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
   // worker finishes when. With options_.pipeline off the state only grants
   // new jobs once the queue drains and nothing is in flight — the historical
   // round shape, kept for A/B comparison.
-  PipelineState state(options_, results, nullptr);
+  //
+  // With a journal, the records of an earlier (killed) run of this campaign
+  // are folded in instead of dispatched. Records were written in the
+  // canonical order, so the recovered set is a canonical prefix and feeding
+  // it back in file order cascades commits eagerly.
+  std::unique_ptr<CampaignJournal> journal;
+  if (!options_.journal_path.empty()) {
+    journal = std::make_unique<CampaignJournal>(
+        options_.journal_path, CampaignJournal::campaign_signature(cells, options_));
+  }
+  PipelineState state(options_, results, journal.get());
+  if (journal) {
+    for (const CampaignJournal::Record& record : journal->recovered()) {
+      state.mark_recovered(record.cell, record.replication);
+    }
+  }
   state.start();
+  if (journal) {
+    for (const CampaignJournal::Record& record : journal->recovered()) {
+      state.deliver_recovered(record.cell, record.replication,
+                              ReplicationSummary(record.summary));
+    }
+  }
 
   std::mutex mutex;
   std::condition_variable ready_cv;
@@ -190,16 +213,22 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
           run_one(job, summary);
           local.busy_s += seconds_since(job_start);
           ++local.jobs;
+          lock.lock();
+          const std::uint64_t appended = journal ? journal->appended() : 0;
+          state.deliver(job.cell, job.replication, std::move(summary));
+          if (state.has_ready() || state.finished()) ready_cv.notify_all();
+          const bool appended_now = journal && journal->appended() != appended;
+          lock.unlock();
+          // The delivery's records are durable before this worker takes more
+          // work; the fsync runs outside the mutex so the other workers keep
+          // committing meanwhile.
+          if (appended_now) journal->sync();
         } catch (...) {
           failure = std::current_exception();
           break;
         }
-        lock.lock();
-        state.deliver(job.cell, job.replication, std::move(summary));
-        if (state.has_ready() || state.finished()) ready_cv.notify_all();
-        lock.unlock();
       }
-      lock.lock();
+      if (!lock.owns_lock()) lock.lock();
       if (failure) {
         if (!error) error = failure;
         ready_cv.notify_all();
@@ -226,6 +255,7 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
   exec_stats_.launched = state.launched();
   exec_stats_.committed = state.committed();
   exec_stats_.discarded = state.discarded();
+  exec_stats_.recovered = state.recovered();
 
   for (const CellResult& cell : results) {
     util::log_info("cell '", cell.label, "': mean turnaround ", cell.turnaround.stats().mean(),

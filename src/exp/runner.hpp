@@ -5,7 +5,9 @@
 // (the paper's 2.5%) or the replication cap. Replications of all cells run
 // concurrently on a thread pool; every simulation is fully independent, and
 // summaries fold through the PipelineState ordered commit (pipeline.hpp), so
-// results are bit-identical for any thread count or completion order.
+// results are bit-identical for any thread count or completion order. With
+// RunOptions::journal_path set, every committed replication is journaled
+// (exp/journal.hpp) and a killed campaign resumes where it stopped.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +56,17 @@ struct RunOptions {
   /// summaries for cells that prove precise first are simply discarded —
   /// speculation trades wasted work for never idling at a precision check.
   std::size_t speculate = 1;
+  /// Completion journal (exp/journal.hpp); empty = no journal. When set,
+  /// run() resumes from the file's valid record prefix and appends every
+  /// further replication in canonical order, fsync'd as it lands. A
+  /// deployment setting like `threads`: it is not part of the campaign
+  /// signature, so a journal can move between paths.
+  std::string journal_path;
 
   /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,WORKSPACES,BATCH,
-  /// QUEUE,PIPELINE,SPECULATE} overrides. Malformed values (including a
-  /// non-positive DGSCHED_TRE) raise std::invalid_argument naming the
-  /// offending variable.
+  /// QUEUE,PIPELINE,SPECULATE,JOURNAL} overrides. Malformed values
+  /// (including a non-positive DGSCHED_TRE) raise std::invalid_argument
+  /// naming the offending variable.
   [[nodiscard]] static RunOptions from_env(RunOptions defaults);
   [[nodiscard]] static RunOptions from_env() { return from_env(RunOptions{}); }
 };
@@ -83,12 +91,10 @@ struct NamedConfig {
   sim::SimulationConfig config;  // seed is overwritten per replication
 };
 
-/// Wall-clock accounting for one execution lane (a pool worker thread, or a
-/// sharded worker process). busy_s is time spent executing replications;
-/// stall_s is time spent waiting for launchable work (the straggler/barrier
-/// penalty the pipelined scheduler removes). For sharded workers busy_s is
-/// self-reported and stall_s is derived as wall - busy (it includes protocol
-/// overhead, not just idleness).
+/// Wall-clock accounting for one execution lane (a pool worker thread).
+/// busy_s is time spent executing replications; stall_s is time spent
+/// waiting for launchable work (the straggler/barrier penalty the pipelined
+/// scheduler removes).
 struct WorkerLaneStats {
   double busy_s = 0.0;
   double stall_s = 0.0;
@@ -97,8 +103,7 @@ struct WorkerLaneStats {
 
 /// Execution-shape observability for one run(): how the campaign actually
 /// executed (lane utilization, speculation economics), as opposed to what it
-/// computed. Filled by both runners; threaded into perf_json and the
-/// robustness-campaign banner.
+/// computed. Threaded into perf_json and the robustness-campaign banner.
 struct ExecutionStats {
   std::vector<WorkerLaneStats> lanes;
   double wall_s = 0.0;
@@ -165,7 +170,8 @@ struct CellResult {
 /// summary folds the moment its per-cell predecessors have committed, in
 /// cell order / ascending replication order — the exact accumulator
 /// sequences of a sequential run, regardless of worker completion order,
-/// speculation window, batch shape, or thread count.
+/// speculation window, batch shape, or thread count. Journal appends happen
+/// under that mutex; the fsync that makes them durable never does.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(RunOptions options) : options_(options) {}

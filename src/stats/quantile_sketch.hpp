@@ -107,8 +107,8 @@ class QuantileSketch {
   /// trackers) to `out`. Counts are integers and the double trackers are
   /// stored bitwise, so deserialize() reconstructs a sketch whose every
   /// subsequent merge/quantile is bit-identical to the original's — the
-  /// property the multi-process runner's cross-process fold relies on
-  /// (src/exp/shard.hpp).
+  /// property a journal-resumed campaign's fold relies on
+  /// (src/exp/journal.hpp).
   void serialize(std::vector<std::uint8_t>& out) const;
   /// Reconstructs a sketch serialized by serialize(). Throws
   /// std::runtime_error on truncated input or a degenerate stored geometry.

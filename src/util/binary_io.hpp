@@ -1,14 +1,12 @@
 // Minimal byte-buffer writer/reader for same-machine binary artifacts.
 //
-// The multi-process campaign path moves two kinds of bytes around:
-// replication summaries over the coordinator/worker pipes and shared-memory
-// ring, and journal records on disk. Both are
-// written and read by sibling processes of one build on one machine, so the
-// encoding is deliberately plain: fixed-width host-endian PODs, memcpy'd —
-// a double round-trips bitwise, which is what the byte-identity contract of
-// the sharded runner rests on. Nothing here is a wire format for foreign
-// machines; the enclosing files/messages carry magic + version fields so a
-// mismatched reader fails loudly instead of misparsing.
+// Campaign journal records (exp/journal.hpp) carry serialized replication
+// summaries on disk. They are written and read by runs of one build on one
+// machine, so the encoding is deliberately plain: fixed-width host-endian
+// PODs, memcpy'd — a double round-trips bitwise, which is what the
+// byte-identity contract of a resumed campaign rests on. Nothing here is a
+// wire format for foreign machines; the journal header carries magic +
+// version fields so a mismatched reader fails loudly instead of misparsing.
 #pragma once
 
 #include <cstdint>

@@ -251,15 +251,19 @@ TEST(RunOptions, EnvOverridesApply) {
   ::setenv("DGSCHED_MAX_REPS", "9", 1);
   ::setenv("DGSCHED_TRE", "0.1", 1);
   ::setenv("DGSCHED_SEED", "123", 1);
+  ::setenv("DGSCHED_JOURNAL", "runs/campaign.journal", 1);
   const RunOptions options = RunOptions::from_env();
   EXPECT_EQ(options.min_replications, 4u);
   EXPECT_EQ(options.max_replications, 9u);
   EXPECT_DOUBLE_EQ(options.target_relative_error, 0.1);
   EXPECT_EQ(options.base_seed, 123u);
+  EXPECT_EQ(options.journal_path, "runs/campaign.journal");
   ::unsetenv("DGSCHED_MIN_REPS");
   ::unsetenv("DGSCHED_MAX_REPS");
   ::unsetenv("DGSCHED_TRE");
   ::unsetenv("DGSCHED_SEED");
+  ::unsetenv("DGSCHED_JOURNAL");
+  EXPECT_TRUE(RunOptions::from_env().journal_path.empty());  // default: no journal
 }
 
 TEST(RunOptions, MaxClampedToMin) {
