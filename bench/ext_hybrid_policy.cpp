@@ -8,6 +8,9 @@
 // (what makes RR win at large granularities). This bench pits it against
 // the best paper policy in each regime, across both availability extremes.
 #include <iostream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "util/table.hpp"
@@ -26,50 +29,61 @@ int main() {
                                         sched::PolicyKind::kLongIdle,
                                         sched::PolicyKind::kPendingFirst};
 
+  // Every panel's cells go through one runner call, so a DGSCHED_JOURNAL
+  // covers the whole campaign; cells fold independently under common
+  // random numbers, so a panel's numbers do not depend on its neighbours.
+  struct Panel {
+    grid::GridConfig grid;
+    workload::Intensity intensity;
+  };
+  std::vector<Panel> panels;
+  std::vector<exp::NamedConfig> cells;
   for (grid::AvailabilityLevel level :
        {grid::AvailabilityLevel::kHigh, grid::AvailabilityLevel::kLow}) {
     for (workload::Intensity intensity :
          {workload::Intensity::kLow, workload::Intensity::kHigh}) {
-      const grid::GridConfig grid_config =
-          grid::GridConfig::preset(grid::Heterogeneity::kHom, level);
-      std::vector<exp::NamedConfig> cells;
+      const Panel panel{grid::GridConfig::preset(grid::Heterogeneity::kHom, level), intensity};
       for (double granularity : workload::kPaperGranularities) {
         for (sched::PolicyKind policy : policies) {
           sim::SimulationConfig config;
-          config.grid = grid_config;
+          config.grid = panel.grid;
           config.workload =
-              sim::make_paper_workload(grid_config, granularity, intensity, num_bots);
+              sim::make_paper_workload(panel.grid, granularity, intensity, num_bots);
           config.policy = policy;
           config.warmup_bots = num_bots / 10;
-          cells.push_back({util::format_double(granularity, 0) + "/" +
+          cells.push_back({panel.grid.name() + "/" + workload::to_string(intensity) + "/" +
+                               util::format_double(granularity, 0) + "/" +
                                sched::to_string(policy),
                            config});
         }
       }
-      exp::ExperimentRunner runner(options);
-      const auto results = runner.run(cells);
-
-      std::vector<std::string> header{"granularity [s]"};
-      for (sched::PolicyKind policy : policies) header.push_back(sched::to_string(policy));
-      util::Table table(std::move(header));
-      std::size_t index = 0;
-      for (double granularity : workload::kPaperGranularities) {
-        std::vector<std::string> row{util::format_double(granularity, 0)};
-        for (std::size_t p = 0; p < 4; ++p) {
-          const exp::CellResult& cell = results[index++];
-          const auto ci = cell.turnaround_ci();
-          std::string text = util::format_double(ci.mean, 0);
-          if (cell.saturated()) text = ">=" + text + " SAT";
-          else text += " +-" + util::format_double(ci.half_width, 0);
-          row.push_back(text);
-        }
-        table.add_row(std::move(row));
-      }
-      std::cout << "--- " << grid_config.name() << " / "
-                << workload::to_string(intensity) << " intensity ---\n";
-      table.render(std::cout);
-      std::cout << "\n";
+      panels.push_back(panel);
     }
+  }
+  exp::ExperimentRunner runner(options);
+  const std::vector<exp::CellResult> results = runner.run(cells);
+
+  std::size_t index = 0;
+  for (const Panel& panel : panels) {
+    std::vector<std::string> header{"granularity [s]"};
+    for (sched::PolicyKind policy : policies) header.push_back(sched::to_string(policy));
+    util::Table table(std::move(header));
+    for (double granularity : workload::kPaperGranularities) {
+      std::vector<std::string> row{util::format_double(granularity, 0)};
+      for (std::size_t p = 0; p < std::size(policies); ++p) {
+        const exp::CellResult& cell = results[index++];
+        const auto ci = cell.turnaround_ci();
+        std::string text = util::format_double(ci.mean, 0);
+        if (cell.saturated()) text = ">=" + text + " SAT";
+        else text += " +-" + util::format_double(ci.half_width, 0);
+        row.push_back(text);
+      }
+      table.add_row(std::move(row));
+    }
+    std::cout << "--- " << panel.grid.name() << " / " << workload::to_string(panel.intensity)
+              << " intensity ---\n";
+    table.render(std::cout);
+    std::cout << "\n";
   }
   return 0;
 }

@@ -18,9 +18,9 @@ inline int run_figure_main(exp::FigureSpec spec, const std::string& csv_name) {
   exp::RunOptions options = exp::RunOptions::from_env();
   if (auto bots = exp::env_num_bots()) spec.num_bots = *bots;
 
-  // The banner goes to stderr: it describes the run shape (threads, batch,
-  // pipeline), which legitimately differs between runs whose *results* are
-  // bit-identical, so captured stdout can be diffed across such runs.
+  // The banner goes to stderr: it describes the run shape (queue backend,
+  // speculation), which legitimately differs between runs whose *results*
+  // are bit-identical, so captured stdout can be diffed across such runs.
   const des::QueueBackend backend =
       options.queue_backend.value_or(des::default_queue_backend());
   std::cerr << "dgsched figure reproduction\n"
@@ -29,13 +29,9 @@ inline int run_figure_main(exp::FigureSpec spec, const std::string& csv_name) {
             << options.max_replications << ", CI target: "
             << options.target_relative_error * 100.0 << "%\n"
             << "  runner: queue=" << des::to_string(backend)
-            << ", pipeline=" << (options.pipeline ? "on" : "off")
-            << ", speculate=" << options.speculate
-            << ", workspaces=" << (options.reuse_workspaces ? "on" : "off")
-            << ", batch=" << options.batch_size << " (0=auto)\n"
+            << ", speculate=" << options.speculate << "\n"
             << "  (env: DGSCHED_BOTS, DGSCHED_MIN_REPS, DGSCHED_MAX_REPS, DGSCHED_TRE,"
-            << " DGSCHED_THREADS, DGSCHED_SEED, DGSCHED_WORKSPACES, DGSCHED_BATCH,"
-            << " DGSCHED_QUEUE, DGSCHED_PIPELINE, DGSCHED_SPECULATE;"
+            << " DGSCHED_THREADS, DGSCHED_SEED, DGSCHED_QUEUE, DGSCHED_SPECULATE;"
             << " paper fidelity: DGSCHED_TRE=0.025)\n\n";
 
   exp::ExperimentRunner runner(options);

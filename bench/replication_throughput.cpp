@@ -1,14 +1,10 @@
 // Replication-throughput suite: emits BENCH_replications.json.
 //
-// Measures what the per-worker SimulationWorkspace path buys the experiment
-// runner: completed replications per wall-clock second over the Figure 1
-// cell matrix (scaled down via DGSCHED_BOTS), swept across pool thread
-// counts from 1 to hardware concurrency, for both runner paths —
-//
-//   baseline:  reuse_workspaces = false (historical fresh construction
-//              of arena/grid/bags every replication), and
-//   workspace: reuse_workspaces = true (per-worker reusable workspaces,
-//              batched job hand-out).
+// Measures the experiment runner end to end: completed replications per
+// wall-clock second over the Figure 1 cell matrix (scaled down via
+// DGSCHED_BOTS), swept across pool thread counts from 1 to hardware
+// concurrency (record replication/throughput/workspace; each worker runs
+// its replications through its own reusable SimulationWorkspace).
 //
 // It also meters global operator-new calls per replication (this binary
 // installs the allocation interposer), both across each full sweep and for
@@ -64,17 +60,14 @@ void fill_exec_stats(PerfRecord& record, const dg::exp::ExecutionStats& stats) {
 }
 
 /// One timed runner sweep: fixed replication count per cell (no CI loop, so
-/// every path does identical work), returns (replications/s, allocs/rep).
-/// `name` distinguishes the runner path in the record:
-///   baseline   fresh construction per replication
-///   workspace  reusable per-worker workspaces
+/// every thread count does identical work), returns (replications/s,
+/// allocs/rep).
 PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                       std::size_t reps, bool reuse_workspaces, const char* name) {
+                       std::size_t reps) {
   dg::exp::RunOptions options;
   options.min_replications = reps;
   options.max_replications = reps;
   options.threads = threads;
-  options.reuse_workspaces = reuse_workspaces;
 
   const std::uint64_t allocs_before = allocs_now();
   Stopwatch timer;
@@ -91,7 +84,7 @@ PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size
   }
 
   PerfRecord record;
-  record.benchmark = std::string("replication/throughput/") + name;
+  record.benchmark = "replication/throughput/workspace";
   record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
                   std::to_string(cells.front().config.workload.num_bots) + ", reps=" +
                   std::to_string(reps);
@@ -107,48 +100,6 @@ PerfRecord timed_sweep(const std::vector<dg::exp::NamedConfig>& cells, std::size
   std::printf("  %-34s %2zu thr  %8.1f reps/s  %10.1f allocs/rep  (%.2f s)\n",
               record.benchmark.c_str(), threads, record.replications_per_sec,
               record.allocs_per_replication, wall);
-  return record;
-}
-
-/// The multi-round precision loop (min 2, max 4, unreachable CI target, so
-/// every cell runs to the cap and the barrier scheduler takes three rounds):
-/// the shape where barrier-synchronized hand-out pays its straggler tax and
-/// the pipelined scheduler doesn't. Results are bit-identical across both
-/// shapes — only the wall clock moves.
-PerfRecord timed_rounds(const std::vector<dg::exp::NamedConfig>& cells, std::size_t threads,
-                        bool pipeline) {
-  dg::exp::RunOptions options;
-  options.min_replications = 2;
-  options.max_replications = 4;
-  options.target_relative_error = 1e-9;  // unreachable: identical work per shape
-  options.threads = threads;
-  options.pipeline = pipeline;
-
-  Stopwatch timer;
-  dg::exp::ExperimentRunner runner(options);
-  const auto results = runner.run(cells);
-  PerfRecord record;
-  record.wall_s = timer.seconds();
-  std::size_t replications = 0;
-  std::uint64_t events = 0;
-  for (const dg::exp::CellResult& cell : results) {
-    replications += cell.replications;
-    events += cell.events_executed;
-  }
-  fill_exec_stats(record, runner.exec_stats());
-  record.benchmark = std::string("replication/rounds/") + (pipeline ? "pipelined" : "barrier");
-  record.threads = threads;
-  record.config = "fig1 cells x" + std::to_string(cells.size()) + ", bots=" +
-                  std::to_string(cells.front().config.workload.num_bots) +
-                  ", reps=2..4 (uncapped tre)";
-  record.replications_per_sec =
-      record.wall_s > 0.0 ? static_cast<double>(replications) / record.wall_s : 0.0;
-  record.events_per_sec =
-      record.wall_s > 0.0 ? static_cast<double>(events) / record.wall_s : 0.0;
-  record.peak_rss_kb = dg::bench::peak_rss_kb();
-  std::printf("  %-34s %2zu thr  %8.1f reps/s  busy %5.1fs stall %5.1fs  (%.2f s)\n",
-              record.benchmark.c_str(), threads, record.replications_per_sec,
-              record.worker_busy_s, record.worker_stall_s, record.wall_s);
   return record;
 }
 
@@ -226,17 +177,8 @@ int main(int argc, char** argv) {
 
   std::vector<PerfRecord> records;
   for (const std::size_t threads : thread_counts) {
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/false, "baseline"));
-    records.push_back(timed_sweep(cells, threads, reps, /*reuse_workspaces=*/true, "workspace"));
+    records.push_back(timed_sweep(cells, threads, reps));
   }
-
-  // Pipelined-vs-barrier axis: the multi-round precision loop where the
-  // barrier scheduler drains at every round boundary, at the top thread
-  // count. CI asserts the pipelined run is at least as fast as the barrier
-  // one.
-  std::cout << "pipelined vs barrier (multi-round precision loop):\n";
-  records.push_back(timed_rounds(cells, top, /*pipeline=*/false));
-  records.push_back(timed_rounds(cells, top, /*pipeline=*/true));
 
   for (PerfRecord& record : steady_state_allocs()) records.push_back(record);
 

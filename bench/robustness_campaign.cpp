@@ -18,15 +18,16 @@
 //                              utilization): min / median / max / mean /
 //                              stddev / cv / max-over-min.
 //
-// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_BATCH —
-// CI runs the smoke grid twice under different shapes and diffs the files
-// byte for byte.
+// Every output is bit-identical across DGSCHED_THREADS / DGSCHED_SPECULATE
+// — CI runs the smoke grid under different shapes and diffs the files byte
+// for byte.
 //
 // With DGSCHED_JOURNAL=path, the risk-cliff grid's runner journals every
 // committed replication there (exp/journal.hpp), the same rule as every
 // other driver: a killed campaign rerun with the same path resumes from the
 // journal and its output stays byte-identical to an uninterrupted run. The
-// journal is left in place on completion.
+// journal is left in place on completion. The seed-sensitivity pass is not
+// journaled; it reruns in full on resume.
 //
 // Usage: ./robustness_campaign [output_dir]   # default: cwd
 // Env:   DGSCHED_CAMPAIGN_GRID=smoke|full, DGSCHED_CAMPAIGN_SEEDS=N,

@@ -11,11 +11,11 @@
 // under many base seeds and reports the inter-seed spread of the p95 — how
 // much of an observed "cliff" is stochastic luck.
 //
-// Everything here is deterministic: cell expansion order is fixed, the sweep
-// reuses exp::ExperimentRunner (post-barrier build-order folds), and the
-// seed-sensitivity fan-out writes into preallocated per-seed slots folded in
-// ascending seed index — results are bit-identical across DGSCHED_THREADS /
-// DGSCHED_BATCH and across a journal kill/resume (DGSCHED_JOURNAL).
+// Everything here is deterministic: cell expansion order is fixed, and both
+// the sweep and the seed-sensitivity pass run on exp::ExperimentRunner,
+// which folds every cell in ascending replication order — results are
+// bit-identical across DGSCHED_THREADS / DGSCHED_SPECULATE and across a
+// journal kill/resume (DGSCHED_JOURNAL).
 #pragma once
 
 #include <cstdint>
@@ -125,9 +125,10 @@ struct SeedSpreadReport {
 };
 
 /// Runs `config` once per seed (num_seeds >= 2, else std::invalid_argument)
-/// across options.threads workers, one reusable workspace per worker, and
-/// folds the spread in ascending seed index — bit-identical for any thread
-/// count. options.base_seed anchors the seed sequence.
+/// as one ExperimentRunner cell of exactly num_seeds replications, and folds
+/// the spread in ascending seed index — bit-identical for any thread count.
+/// options.base_seed anchors the seed sequence; options.journal_path is
+/// ignored (the pass is never journaled).
 [[nodiscard]] SeedSpreadReport seed_sensitivity(const sim::SimulationConfig& config,
                                                 const RunOptions& options, std::size_t num_seeds);
 

@@ -42,7 +42,7 @@ class CampaignJournal {
   /// cell's label and saved config text (sim::save_simulation_config, seed
   /// zeroed — the runner sets it per replication), base seed, replication
   /// bounds, CI level, and target relative error. Execution-shape options
-  /// (threads, batch, pipeline, speculation, journal path) are left out, so
+  /// (threads, speculation, journal path) are left out, so
   /// a campaign can resume under a different shape.
   [[nodiscard]] static std::uint64_t campaign_signature(const std::vector<NamedConfig>& cells,
                                                        const RunOptions& options);

@@ -25,8 +25,8 @@ void PipelineState::mark_recovered(std::size_t cell, std::size_t replication) {
 
 void PipelineState::start() {
   if (options_.min_replications == 0) {
-    // Zero-minimum campaigns run nothing — the historical round loop never
-    // built a round 0 job.
+    // Zero-minimum campaigns run nothing: no cell has a replication it must
+    // launch.
     for (Cell& cell : cells_) {
       cell.stopped = true;
       cell.final_reps = 0;
@@ -35,11 +35,7 @@ void PipelineState::start() {
     pump_journal();
     return;
   }
-  if (options_.pipeline) {
-    for (std::size_t c = 0; c < cells_.size(); ++c) extend(c);
-  } else {
-    maybe_refill();
-  }
+  for (std::size_t c = 0; c < cells_.size(); ++c) extend(c);
 }
 
 void PipelineState::push_range(std::size_t c, std::size_t to) {
@@ -48,7 +44,6 @@ void PipelineState::push_range(std::size_t c, std::size_t to) {
     if (is_recovered(c, r)) continue;  // delivered from the journal, not dispatched
     ready_.push(ReadyEntry{cost_[c], r, c, seq_++});
     ++launched_;
-    ++round_size_;
   }
   cell.allowed = std::max(cell.allowed, to);
 }
@@ -59,34 +54,12 @@ void PipelineState::extend(std::size_t c) {
   // The justified frontier: the replications the precision loop would run
   // regardless of speculation. The cap is applied to the speculative window
   // only — a min_replications above the cap still launches (and folds) the
-  // minimum, exactly like the historical round 0.
+  // minimum.
   const std::size_t justified =
       cell.committed < options_.min_replications ? options_.min_replications : cell.committed + 1;
   const std::size_t target =
       std::max(justified, std::min(justified + options_.speculate, options_.max_replications));
   push_range(c, target);
-}
-
-void PipelineState::maybe_refill() {
-  if (options_.pipeline) return;
-  // Barrier shape: new jobs appear only when every handed-out job has been
-  // delivered and the queue is drained — the historical round boundary. Each
-  // refill grants one replication per live cell (round 0: the minimum); a
-  // refill fully covered by journal recovery yields no dispatchable job and
-  // simply advances to the next round.
-  prune_stale();
-  while (in_flight_ == 0 && ready_.empty() && !finished()) {
-    round_size_ = 0;
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-      Cell& cell = cells_[c];
-      if (cell.stopped) continue;
-      const std::size_t to =
-          first_round_ ? options_.min_replications : std::max(cell.allowed, cell.committed) + 1;
-      push_range(c, to);
-    }
-    first_round_ = false;
-    prune_stale();
-  }
 }
 
 void PipelineState::prune_stale() {
@@ -105,26 +78,19 @@ bool PipelineState::has_ready() {
   return !ready_.empty();
 }
 
-std::vector<PipelineJob> PipelineState::pop_chunk(std::size_t target) {
-  std::vector<PipelineJob> out;
-  prune_stale();
-  while (out.size() < target && !ready_.empty()) {
-    const ReadyEntry top = ready_.top();
-    ready_.pop();
-    out.push_back(PipelineJob{top.cell, top.replication});
-    ++in_flight_;
-    prune_stale();
-  }
-  return out;
+PipelineJob PipelineState::pop() {
+  const ReadyEntry top = ready_.top();
+  ready_.pop();
+  return PipelineJob{top.cell, top.replication};
 }
 
 void PipelineState::decide(std::size_t c) {
   Cell& cell = cells_[c];
   if (cell.committed < options_.min_replications) return;
   CellResult& result = results_[c];
-  // The historical per-round continuation rule, evaluated at the same
-  // per-cell commit counts the round barrier evaluated it at. Saturated
-  // cells never converge (censored means); stop at the minimum.
+  // The continuation rule, evaluated at every per-cell commit from the
+  // minimum on. Saturated cells never converge (censored means); stop at the
+  // minimum.
   if (result.saturated() || result.turnaround.precise_enough() ||
       cell.committed >= options_.max_replications) {
     cell.stopped = true;
@@ -150,7 +116,7 @@ void PipelineState::cascade(std::size_t c) {
     ++cell.committed;
     ++committed_;
     decide(c);
-    if (!cell.stopped && options_.pipeline) extend(c);
+    if (!cell.stopped) extend(c);
   }
 }
 
@@ -166,18 +132,15 @@ void PipelineState::deliver_recovered(std::size_t cell, std::size_t replication,
 
 void PipelineState::deliver_impl(std::size_t cell, std::size_t replication,
                                  ReplicationSummary&& summary, bool from_recovery) {
-  if (!from_recovery) --in_flight_;
   Cell& state = cells_[cell];
   if ((state.stopped && replication >= state.final_reps) || replication < state.committed) {
     ++discarded_;
-    maybe_refill();
     return;
   }
   state.buffer.emplace(replication, std::move(summary));
   if (from_recovery) ++recovered_;
   cascade(cell);
   pump_journal();
-  maybe_refill();
 }
 
 void PipelineState::pump_journal() {

@@ -75,9 +75,6 @@ RunOptions RunOptions::from_env(RunOptions defaults) {
   }
   if (auto v = env_size("DGSCHED_THREADS")) defaults.threads = *v;
   if (auto v = env_size("DGSCHED_SEED")) defaults.base_seed = *v;
-  if (auto v = env_size("DGSCHED_WORKSPACES")) defaults.reuse_workspaces = *v != 0;
-  if (auto v = env_size("DGSCHED_BATCH")) defaults.batch_size = *v;
-  if (auto v = env_size("DGSCHED_PIPELINE")) defaults.pipeline = *v != 0;
   if (auto v = env_size("DGSCHED_SPECULATE")) defaults.speculate = *v;
   if (auto v = env_string("DGSCHED_JOURNAL")) defaults.journal_path = *v;
   if (auto text = env_string("DGSCHED_QUEUE")) {
@@ -109,46 +106,12 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
   exec_stats_ = ExecutionStats{};
   if (cells.empty()) return results;
 
-  // Workspaces before the pool: jobs reference them, and the pool's
-  // destructor (which drains any still-queued jobs on an exceptional unwind)
-  // must run first.
-  std::vector<std::unique_ptr<sim::SimulationWorkspace>> workspaces;
-  util::ThreadPool pool(options_.threads);
-  workspaces.resize(pool.size());
-
-  // Runs one replication on the calling pool worker, through that worker's
-  // lazily-created workspace (or fresh construction when reuse is off / the
-  // caller is not a pool thread), and writes its summary into `slot`.
-  auto run_one = [&](const PipelineJob& job, ReplicationSummary& slot) {
-    sim::SimulationConfig config = results[job.cell].config;
-    // Seeds depend only on (base_seed, replication): common random numbers
-    // across cells that differ only in scheduling policy.
-    config.seed = rng::mix_seed(options_.base_seed, job.replication);
-    if (options_.queue_backend.has_value()) config.queue_backend = options_.queue_backend;
-    sim::Simulation simulation(std::move(config));
-    sim::SimulationWorkspace* workspace = nullptr;
-    if (options_.reuse_workspaces) {
-      const std::size_t worker = util::ThreadPool::current_worker_index();
-      if (worker < workspaces.size()) {
-        if (!workspaces[worker]) {
-          workspaces[worker] = std::make_unique<sim::SimulationWorkspace>();
-        }
-        workspace = workspaces[worker].get();
-      }
-    }
-    slot = workspace != nullptr ? summarize(simulation.run(*workspace))
-                                : summarize(simulation.run());
-  };
-
-  // Barrier-free execution (exp/pipeline.hpp): PipelineState owns the ready
-  // queue, the per-cell reorder/commit buffers, the precision decisions, and
-  // the speculation window. pool.size() long-lived worker loops pull jobs
-  // and deliver summaries under one mutex; the fold itself happens inside
-  // deliver() in canonical per-cell order, so accumulator sequences are
-  // bitwise-equal to the historical round-barrier fold no matter which
-  // worker finishes when. With options_.pipeline off the state only grants
-  // new jobs once the queue drains and nothing is in flight — the historical
-  // round shape, kept for A/B comparison.
+  // PipelineState owns the ready queue, the per-cell reorder/commit
+  // buffers, the precision decisions and the speculation window. Worker
+  // loops pull one job at a time and deliver its summary under one mutex;
+  // the fold itself happens inside deliver() in canonical per-cell order, so
+  // accumulator sequences are bitwise-equal to a sequential run no matter
+  // which worker finishes when.
   //
   // With a journal, the records of an earlier (killed) run of this campaign
   // are folded in instead of dispatched. Records were written in the
@@ -176,78 +139,69 @@ std::vector<CellResult> ExperimentRunner::run(const std::vector<NamedConfig>& ce
   std::mutex mutex;
   std::condition_variable ready_cv;
   std::exception_ptr error;
-  std::vector<WorkerLaneStats> lanes(pool.size());
+  std::vector<WorkerLaneStats> lanes;
   const auto wall_start = std::chrono::steady_clock::now();
   const auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
 
-  auto worker_loop = [&] {
-    const std::size_t lane = util::ThreadPool::current_worker_index();
-    WorkerLaneStats local;
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      while (!error && !state.finished() && !state.has_ready()) {
-        const auto wait_start = std::chrono::steady_clock::now();
-        ready_cv.wait(lock);
-        local.stall_s += seconds_since(wait_start);
-      }
-      if (error || state.finished()) break;
-      // Pipelined hand-out takes one job at a time — workers return for more
-      // the moment they finish, so there is nothing to balance. The barrier
-      // shape keeps the historical round batching.
-      std::size_t target = 1;
-      if (options_.batch_size > 0) {
-        target = options_.batch_size;
-      } else if (!options_.pipeline) {
-        target = std::max<std::size_t>(1, state.round_size() / (pool.size() * 4));
-      }
-      std::vector<PipelineJob> chunk = state.pop_chunk(target);
-      if (chunk.empty()) continue;
-      lock.unlock();
-      std::exception_ptr failure;
-      for (const PipelineJob& job : chunk) {
-        ReplicationSummary summary;
-        try {
-          const auto job_start = std::chrono::steady_clock::now();
-          run_one(job, summary);
-          local.busy_s += seconds_since(job_start);
-          ++local.jobs;
-          lock.lock();
-          const std::uint64_t appended = journal ? journal->appended() : 0;
-          state.deliver(job.cell, job.replication, std::move(summary));
-          if (state.has_ready() || state.finished()) ready_cv.notify_all();
-          const bool appended_now = journal && journal->appended() != appended;
+  // One worker loop per pool thread, each owning its workspace and its lane;
+  // the first failure stops every loop and is rethrown below.
+  auto worker_loop = [&](WorkerLaneStats& lane) {
+    std::unique_lock<std::mutex> lock(mutex, std::defer_lock);
+    try {
+      sim::SimulationWorkspace workspace;
+      lock.lock();
+      for (;;) {
+        while (!error && !state.finished() && !state.has_ready()) {
+          const auto wait_start = std::chrono::steady_clock::now();
+          ready_cv.wait(lock);
+          lane.stall_s += seconds_since(wait_start);
+        }
+        if (error || state.finished()) return;
+        const PipelineJob job = state.pop();
+        lock.unlock();
+        sim::SimulationConfig config = results[job.cell].config;
+        // Seeds depend only on (base_seed, replication): common random
+        // numbers across cells that differ only in scheduling policy.
+        config.seed = rng::mix_seed(options_.base_seed, job.replication);
+        if (options_.queue_backend.has_value()) config.queue_backend = options_.queue_backend;
+        const auto job_start = std::chrono::steady_clock::now();
+        ReplicationSummary summary = summarize(sim::Simulation(std::move(config)).run(workspace));
+        lane.busy_s += seconds_since(job_start);
+        ++lane.jobs;
+        lock.lock();
+        const std::uint64_t appended = journal ? journal->appended() : 0;
+        state.deliver(job.cell, job.replication, std::move(summary));
+        if (state.has_ready() || state.finished()) ready_cv.notify_all();
+        if (journal && journal->appended() != appended) {
+          // The delivery's records are durable before this worker takes
+          // more work; the fsync runs outside the mutex so the other workers
+          // keep committing meanwhile.
           lock.unlock();
-          // The delivery's records are durable before this worker takes more
-          // work; the fsync runs outside the mutex so the other workers keep
-          // committing meanwhile.
-          if (appended_now) journal->sync();
-        } catch (...) {
-          failure = std::current_exception();
-          break;
+          journal->sync();
+          lock.lock();
         }
       }
+    } catch (...) {
       if (!lock.owns_lock()) lock.lock();
-      if (failure) {
-        if (!error) error = failure;
-        ready_cv.notify_all();
-        break;
-      }
+      if (!error) error = std::current_exception();
+      ready_cv.notify_all();
     }
-    // Accumulate, not assign: when one pool thread picks up two of the
-    // submitted loops back to back (the other thread started late), the
-    // second, idle loop must not wipe the first one's counts. The lock is
-    // held on every break path.
-    lanes[lane].busy_s += local.busy_s;
-    lanes[lane].stall_s += local.stall_s;
-    lanes[lane].jobs += local.jobs;
   };
 
-  std::vector<std::future<void>> futures;
-  futures.reserve(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) futures.push_back(pool.submit(worker_loop));
-  for (std::future<void>& future : futures) future.get();
+  {
+    // Declared after everything the loops touch, so an unwinding run()
+    // joins the workers before any of it is destroyed.
+    util::ThreadPool pool(options_.threads);
+    lanes.resize(pool.size());
+    std::vector<std::future<void>> futures;
+    futures.reserve(pool.size());
+    for (WorkerLaneStats& lane : lanes) {
+      futures.push_back(pool.submit([&worker_loop, &lane] { worker_loop(lane); }));
+    }
+    for (std::future<void>& future : futures) future.get();
+  }
   if (error) std::rethrow_exception(error);
 
   exec_stats_.lanes = std::move(lanes);

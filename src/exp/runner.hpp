@@ -31,27 +31,12 @@ struct RunOptions {
   std::uint64_t base_seed = 0x5eedULL;
   /// 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Run replications through one reusable sim::SimulationWorkspace per pool
-  /// worker (the zero-allocation path; see sim/workspace.hpp). Off =
-  /// historical fresh-construction per replication. Either way the results
-  /// are bit-identical.
-  bool reuse_workspaces = true;
-  /// Replications per submitted pool job; 0 = auto (about four jobs per
-  /// worker per round). Batching amortizes queue/future overhead without
-  /// hurting balance — jobs are handed out largest-expected-cost first.
-  std::size_t batch_size = 0;
   /// DES event-queue backend forced on every cell; nullopt keeps each cell's
   /// own setting (usually the DGSCHED_QUEUE CMake/env default). Backends are
   /// bit-identical (see des/queue_policy.hpp).
   std::optional<des::QueueBackend> queue_backend;
-  /// Barrier-free execution (see exp/pipeline.hpp): jobs are handed out
-  /// continuously and each summary folds the moment its per-cell
-  /// predecessors have committed, so workers never drain-and-wait at a
-  /// round boundary. Off = the historical barrier-synchronized rounds.
-  /// Results, artifacts, and journal bytes are bit-identical either way.
-  bool pipeline = true;
   /// Replications launched beyond each cell's justified precision frontier
-  /// (pipelined mode only; 0 disables). Common-random-numbers seeding makes
+  /// (0 disables; see exp/pipeline.hpp). Common-random-numbers seeding makes
   /// replication (cell, k) deterministic regardless of execution shape, so
   /// summaries for cells that prove precise first are simply discarded —
   /// speculation trades wasted work for never idling at a precision check.
@@ -63,8 +48,8 @@ struct RunOptions {
   /// signature, so a journal can move between paths.
   std::string journal_path;
 
-  /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,WORKSPACES,BATCH,
-  /// QUEUE,PIPELINE,SPECULATE,JOURNAL} overrides. Malformed values
+  /// Reads DGSCHED_{MIN_REPS,MAX_REPS,TRE,THREADS,SEED,QUEUE,SPECULATE,
+  /// JOURNAL} overrides. Malformed values
   /// (including a non-positive DGSCHED_TRE) raise std::invalid_argument
   /// naming the offending variable.
   [[nodiscard]] static RunOptions from_env(RunOptions defaults);
@@ -91,10 +76,10 @@ struct NamedConfig {
   sim::SimulationConfig config;  // seed is overwritten per replication
 };
 
-/// Wall-clock accounting for one execution lane (a pool worker thread).
+/// Wall-clock accounting for one execution lane (a pool worker loop).
 /// busy_s is time spent executing replications; stall_s is time spent
-/// waiting for launchable work (the straggler/barrier penalty the pipelined
-/// scheduler removes).
+/// waiting for launchable work (a precision check or a straggler holding
+/// back the next replication).
 struct WorkerLaneStats {
   double busy_s = 0.0;
   double stall_s = 0.0;
@@ -135,7 +120,7 @@ struct CellResult {
   stats::OnlineStats lost_work;
   /// Merged tail sketches across the cell's replications (exact bucket-count
   /// addition, so the merged p50/p95/p99 are bit-identical regardless of
-  /// thread count or batch shape — see docs/METRICS.md). The turnaround /
+  /// thread count or hand-out order — see docs/METRICS.md). The turnaround /
   /// slowdown sketches pool every measured bag of every replication; the gap
   /// sketch pools every completion gap.
   stats::QuantileSketch turnaround_tail;
@@ -152,6 +137,9 @@ struct CellResult {
   /// Total DES events executed across the cell's replications (raw count, not
   /// a mean) — the numerator of events-per-second throughput reporting.
   std::uint64_t events_executed = 0;
+  /// Each replication's own p95 turnaround, in replication order (the
+  /// per-seed spread exp::seed_sensitivity reports).
+  std::vector<double> replication_p95;
   std::size_t replications = 0;
   std::size_t saturated_replications = 0;
 
@@ -161,17 +149,17 @@ struct CellResult {
   }
 };
 
-/// Thread-safety: run() is internally parallel (replications fan out over a
-/// util::ThreadPool of options().threads workers, each running jobs through
-/// its private SimulationWorkspace) but the runner itself is not re-entrant
-/// — one run() at a time per instance. Scheduling is barrier-free (see
-/// exp/pipeline.hpp): workers pull jobs from a shared PipelineState and
-/// deliver summaries into its per-cell reorder buffers under one mutex; each
-/// summary folds the moment its per-cell predecessors have committed, in
-/// cell order / ascending replication order — the exact accumulator
-/// sequences of a sequential run, regardless of worker completion order,
-/// speculation window, batch shape, or thread count. Journal appends happen
-/// under that mutex; the fsync that makes them durable never does.
+/// Thread-safety: run() is internally parallel (options().threads worker
+/// loops on a util::ThreadPool, each running one job at a time through the
+/// SimulationWorkspace it owns) but the runner itself is not re-entrant —
+/// one run() at a time per instance. Workers pull jobs from a shared
+/// PipelineState (exp/pipeline.hpp) and deliver summaries into its per-cell
+/// reorder buffers under one mutex; each summary folds the moment its
+/// per-cell predecessors have committed, in cell order / ascending
+/// replication order — the exact accumulator sequences of a sequential run,
+/// regardless of worker completion order, speculation window, or thread
+/// count. Journal appends happen under that mutex; the fsync that makes
+/// them durable never does.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(RunOptions options) : options_(options) {}

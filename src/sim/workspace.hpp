@@ -26,8 +26,7 @@
 //
 // Ownership and threading rules:
 //   * One workspace per thread — a workspace is as thread-unsafe as the
-//     Simulator it wraps. ExperimentRunner keys workspaces by pool-worker
-//     index (util::ThreadPool::current_worker_index()).
+//     Simulator it wraps. Each ExperimentRunner worker loop owns one.
 //   * The workspace must outlive the SimulationResult reference returned by
 //     Simulation::run(workspace): the result lives inside the workspace and
 //     is overwritten by the next run.

@@ -4,19 +4,13 @@
 
 namespace dg::util {
 
-namespace {
-thread_local std::size_t t_worker_index = ThreadPool::kNotAWorker;
-}  // namespace
-
-std::size_t ThreadPool::current_worker_index() noexcept { return t_worker_index; }
-
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -34,8 +28,7 @@ void ThreadPool::wait_idle() {
   idle_.wait(lock, [this] { return jobs_.empty() && active_ == 0; });
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index) {
-  t_worker_index = worker_index;
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> job;
     {

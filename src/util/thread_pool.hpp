@@ -38,16 +38,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Returned by current_worker_index() outside any pool worker.
-  static constexpr std::size_t kNotAWorker = ~std::size_t{0};
-
-  /// Index of the calling pool worker in [0, size()), or kNotAWorker when
-  /// the caller is not a pool thread. Jobs use it to pick up worker-affine
-  /// state (e.g. one sim::SimulationWorkspace per worker) without locking.
-  /// Indices are per-pool-position, not globally unique: two pools reuse the
-  /// same indices, so worker-affine tables belong to one pool at a time.
-  [[nodiscard]] static std::size_t current_worker_index() noexcept;
-
   /// Enqueues `fn(args...)`; the returned future yields its result.
   template <typename Fn, typename... Args>
   [[nodiscard]] auto submit(Fn&& fn, Args&&... args)
@@ -72,7 +62,7 @@ class ThreadPool {
   void wait_idle();
 
  private:
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> jobs_;

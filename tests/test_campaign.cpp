@@ -1,15 +1,20 @@
 // Robustness campaign (exp/campaign.hpp): grid expansion, risk-cliff rows,
 // seed-sensitivity spread, and the determinism contracts — campaign rows and
 // spread statistics must be bit-identical across execution shapes (threads,
-// batching, workspace reuse).
+// speculation) and equal to direct single-seed simulations.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
+#include "rng/splitmix64.hpp"
 
 namespace dg::exp {
 namespace {
@@ -115,8 +120,8 @@ TEST(Campaign, RiskCliffRowsComputeDegradationAgainstMildestCorner) {
 }
 
 TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
-  // The same campaign folded under different thread counts, batch shapes
-  // and workspace settings must produce bitwise-equal heatmap rows.
+  // The same campaign folded under different thread counts and speculation
+  // windows must produce bitwise-equal heatmap rows.
   const std::vector<CampaignCell> cells = expand_campaign(tiny_axes());
   std::vector<NamedConfig> named;
   for (const CampaignCell& cell : cells) {
@@ -137,12 +142,7 @@ TEST(Campaign, RowsAreBitIdenticalAcrossExecutionShapes) {
   {
     RunOptions o = tiny_options();
     o.threads = 4;
-    o.batch_size = 1;
-    shapes.push_back(o);
-  }
-  {
-    RunOptions o = tiny_options();
-    o.reuse_workspaces = false;
+    o.speculate = 4;
     shapes.push_back(o);
   }
   for (std::size_t s = 0; s < shapes.size(); ++s) {
@@ -187,12 +187,54 @@ TEST(Campaign, SeedSpreadIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(report.p95_stddev, reference.p95_stddev);
     EXPECT_EQ(report.saturated_seeds, reference.saturated_seeds);
   }
-  // Fresh-construction path agrees with the reusable-workspace path.
-  RunOptions fresh = options;
-  fresh.reuse_workspaces = false;
-  EXPECT_EQ(seed_sensitivity(config, fresh, 5).p95, reference.p95);
-
   EXPECT_THROW((void)seed_sensitivity(config, options, 1), std::invalid_argument);
+}
+
+TEST(Campaign, SeedSpreadMatchesDirectSimulations) {
+  // Independent reference: seed i's p95 and mean turnaround are those of a
+  // plain fresh-construction Simulation run on seed mix_seed(base_seed, i),
+  // bit for bit.
+  const std::vector<CampaignCell> cells = expand_campaign(tiny_axes());
+  const sim::SimulationConfig& config = cells[3].config;  // harshest corner
+  RunOptions options = tiny_options();
+  options.base_seed = 0xabcdefULL;
+  const SeedSpreadReport report = seed_sensitivity(config, options, 4);
+  ASSERT_EQ(report.p95.size(), 4u);
+  ASSERT_EQ(report.mean_turnaround.size(), 4u);
+  std::size_t saturated = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    sim::SimulationConfig seeded = config;
+    seeded.seed = rng::mix_seed(options.base_seed, i);
+    const sim::SimulationResult result = sim::Simulation(seeded).run();
+    EXPECT_EQ(report.p95[i], result.turnaround_tail.quantile(0.95));  // bitwise
+    EXPECT_EQ(report.mean_turnaround[i], result.turnaround.mean());
+    if (result.saturated) ++saturated;
+  }
+  EXPECT_EQ(report.saturated_seeds, saturated);
+}
+
+TEST(Campaign, SeedSpreadIgnoresTheJournalPath) {
+  // The seed pass runs with the caller's options, which may carry the grid
+  // run's DGSCHED_JOURNAL: it must neither write that file nor change.
+  const std::vector<CampaignCell> cells = expand_campaign(tiny_axes());
+  const sim::SimulationConfig& config = cells[1].config;
+  const RunOptions options = tiny_options();
+  const SeedSpreadReport reference = seed_sensitivity(config, options, 3);
+
+  RunOptions journaled = options;
+  journaled.journal_path = (std::filesystem::temp_directory_path() /
+                            ("dgsched_seed_journal_" + std::to_string(::getpid()) + ".journal"))
+                               .string();
+  std::filesystem::remove(journaled.journal_path);
+  const SeedSpreadReport report = seed_sensitivity(config, journaled, 3);
+  EXPECT_FALSE(std::filesystem::exists(journaled.journal_path));
+  std::filesystem::remove(journaled.journal_path);
+  EXPECT_EQ(report.p95, reference.p95);  // bitwise
+  EXPECT_EQ(report.mean_turnaround, reference.mean_turnaround);
+  EXPECT_EQ(report.saturated_seeds, reference.saturated_seeds);
+  EXPECT_EQ(report.p95_median, reference.p95_median);
+  EXPECT_EQ(report.p95_stddev, reference.p95_stddev);
 }
 
 TEST(CampaignOptions, FromEnvParsesAndValidates) {

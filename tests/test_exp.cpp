@@ -107,56 +107,6 @@ TEST(ExperimentRunner, SaturatedCellStopsAtMinimumAndIsCounted) {
   EXPECT_TRUE(results[0].saturated());
 }
 
-TEST(ExperimentRunner, WorkspacePathMatchesFreshPath) {
-  const std::vector<NamedConfig> cells = {{"a", tiny_config(sched::PolicyKind::kFcfsShare)},
-                                          {"b", tiny_config(sched::PolicyKind::kLongIdle, 6)}};
-  RunOptions options;
-  options.min_replications = 3;
-  options.max_replications = 6;
-  options.target_relative_error = 0.2;
-  options.threads = 2;
-
-  options.reuse_workspaces = true;
-  const auto reused = ExperimentRunner(options).run(cells);
-  options.reuse_workspaces = false;
-  const auto fresh = ExperimentRunner(options).run(cells);
-
-  ASSERT_EQ(reused.size(), fresh.size());
-  for (std::size_t i = 0; i < reused.size(); ++i) {
-    EXPECT_EQ(reused[i].replications, fresh[i].replications);
-    EXPECT_EQ(reused[i].turnaround.stats().mean(), fresh[i].turnaround.stats().mean());
-    EXPECT_EQ(reused[i].turnaround.stats().variance(), fresh[i].turnaround.stats().variance());
-    EXPECT_EQ(reused[i].waiting.mean(), fresh[i].waiting.mean());
-    EXPECT_EQ(reused[i].makespan.mean(), fresh[i].makespan.mean());
-    EXPECT_EQ(reused[i].utilization.mean(), fresh[i].utilization.mean());
-    EXPECT_EQ(reused[i].decayed_utilization.mean(), fresh[i].decayed_utilization.mean());
-    EXPECT_EQ(reused[i].wasted_fraction.mean(), fresh[i].wasted_fraction.mean());
-    EXPECT_EQ(reused[i].saturated_replications, fresh[i].saturated_replications);
-    EXPECT_EQ(reused[i].turnaround_tail.quantile(0.99), fresh[i].turnaround_tail.quantile(0.99));
-    EXPECT_EQ(reused[i].slowdown_tail.quantile(0.99), fresh[i].slowdown_tail.quantile(0.99));
-  }
-}
-
-TEST(ExperimentRunner, BatchShapeDoesNotChangeResults) {
-  const std::vector<NamedConfig> cells = {{"a", tiny_config(sched::PolicyKind::kFcfsShare)},
-                                          {"b", tiny_config(sched::PolicyKind::kRoundRobin)}};
-  RunOptions options;
-  options.min_replications = 4;
-  options.max_replications = 4;
-  options.threads = 3;
-
-  options.batch_size = 1;
-  const auto fine = ExperimentRunner(options).run(cells);
-  options.batch_size = 7;  // bigger than a whole round
-  const auto coarse = ExperimentRunner(options).run(cells);
-
-  ASSERT_EQ(fine.size(), coarse.size());
-  for (std::size_t i = 0; i < fine.size(); ++i) {
-    EXPECT_EQ(fine[i].turnaround.stats().mean(), coarse[i].turnaround.stats().mean());
-    EXPECT_EQ(fine[i].replications, coarse[i].replications);
-  }
-}
-
 TEST(ExperimentRunner, CellTailSketchesPoolEveryMeasuredBag) {
   RunOptions options;
   options.min_replications = 3;
@@ -180,8 +130,8 @@ TEST(ExperimentRunner, CellTailSketchesPoolEveryMeasuredBag) {
 TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsAndBatch) {
   // The fold-in-build-order contract extended to the tail sketches: exact
   // integer bucket merges make the cell-level p50/p95/p99 identical across
-  // thread counts and batch shapes — on a volatile grid, so machine failures
-  // shape every replication.
+  // thread counts and speculation windows — on a volatile grid, so machine
+  // failures shape every replication.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHom, grid::AvailabilityLevel::kLow);
@@ -192,9 +142,9 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsAndBatch) {
 
   struct Variant {
     std::size_t threads;
-    std::size_t batch;
+    std::size_t speculate;
   };
-  const Variant variants[] = {{1, 1}, {3, 1}, {3, 5}, {4, 2}};
+  const Variant variants[] = {{1, 0}, {3, 1}, {3, 4}, {4, 2}};
 
   std::vector<std::vector<CellResult>> runs;
   for (const Variant& variant : variants) {
@@ -202,7 +152,7 @@ TEST(ExperimentRunner, MergedTailsBitIdenticalAcrossThreadsAndBatch) {
     options.min_replications = 3;
     options.max_replications = 3;
     options.threads = variant.threads;
-    options.batch_size = variant.batch;
+    options.speculate = variant.speculate;
     runs.push_back(ExperimentRunner(options).run(cells));
   }
 
@@ -275,17 +225,6 @@ TEST(RunOptions, MaxClampedToMin) {
   ::unsetenv("DGSCHED_MAX_REPS");
 }
 
-TEST(RunOptions, WorkspaceAndBatchEnvOverrides) {
-  ::setenv("DGSCHED_WORKSPACES", "0", 1);
-  ::setenv("DGSCHED_BATCH", "16", 1);
-  const RunOptions options = RunOptions::from_env();
-  EXPECT_FALSE(options.reuse_workspaces);
-  EXPECT_EQ(options.batch_size, 16u);
-  ::unsetenv("DGSCHED_WORKSPACES");
-  ::unsetenv("DGSCHED_BATCH");
-  EXPECT_TRUE(RunOptions::from_env().reuse_workspaces);
-}
-
 void expect_env_rejected(const char* name, const char* value) {
   ::setenv(name, value, 1);
   try {
@@ -305,7 +244,8 @@ TEST(RunOptions, MalformedEnvFailsWithClearMessage) {
   expect_env_rejected("DGSCHED_MAX_REPS", "-3");
   expect_env_rejected("DGSCHED_MAX_REPS", "twelve");
   expect_env_rejected("DGSCHED_MIN_REPS", "3.5");
-  expect_env_rejected("DGSCHED_BATCH", "12x");
+  expect_env_rejected("DGSCHED_SPECULATE", "2.5");
+  expect_env_rejected("DGSCHED_SPECULATE", "deep");
   expect_env_rejected("DGSCHED_SEED", "0xzz");
   expect_env_rejected("DGSCHED_QUEUE", "ladder");
   expect_env_rejected("DGSCHED_QUEUE", "Heap4");
@@ -314,7 +254,8 @@ TEST(RunOptions, MalformedEnvFailsWithClearMessage) {
   // build a runner or a thread pool.
   expect_env_rejected("DGSCHED_THREADS", " -1");
   expect_env_rejected("DGSCHED_THREADS", "-1");
-  expect_env_rejected("DGSCHED_BATCH", "+7");
+  expect_env_rejected("DGSCHED_SPECULATE", "-1");
+  expect_env_rejected("DGSCHED_SPECULATE", "+7");
   expect_env_rejected("DGSCHED_MIN_REPS", " 3");
   expect_env_rejected("DGSCHED_MAX_REPS", "3 ");
   // A relative-error target must be a finite positive number: nan, inf and
@@ -339,9 +280,9 @@ TEST(RunOptions, QueueBackendEnvOverride) {
 TEST(ExperimentRunner, AdaptiveRoundsBitIdenticalAcrossThreadsAndBatch) {
   // Cells that stop at different replication counts (max > min with a
   // reachable precision target) must fold cell-for-cell identically across
-  // thread counts and batch shapes — each summary folds in per-cell
-  // replication order whatever worker delivers it. Volatile grid so machine
-  // failures shape every replication.
+  // thread counts — each summary folds in per-cell replication order
+  // whatever worker delivers it. Volatile grid so machine failures shape
+  // every replication.
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin, 6);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kLow);
@@ -354,20 +295,13 @@ TEST(ExperimentRunner, AdaptiveRoundsBitIdenticalAcrossThreadsAndBatch) {
   const std::vector<NamedConfig> cells = {
       {"rr", volatile_config}, {"fcfs", stable_config}, {"li", third_config}};
 
-  struct Variant {
-    std::size_t threads;
-    std::size_t batch;
-  };
-  const Variant variants[] = {{1, 1}, {3, 1}, {3, 5}, {2, 0}, {4, 2}};
-
   std::vector<std::vector<CellResult>> runs;
-  for (const Variant& variant : variants) {
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
     RunOptions options;
     options.min_replications = 2;
     options.max_replications = 4;
     options.target_relative_error = 0.08;
-    options.threads = variant.threads;
-    options.batch_size = variant.batch;
+    options.threads = threads;
     runs.push_back(ExperimentRunner(options).run(cells));
   }
 
@@ -397,11 +331,11 @@ TEST(ExperimentRunner, AdaptiveRoundsBitIdenticalAcrossThreadsAndBatch) {
 }
 
 TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
-  // The barrier-free scheduler's core contract (PR 10): pipelined hand-out
-  // with any speculation window must be cell-for-cell bit-identical to the
-  // historical barrier rounds — including the adaptive round structure
-  // (max > min with a reachable precision target, so cells stop at
-  // different replication counts and speculative summaries get discarded).
+  // The scheduler's core contract: hand-out with any speculation window at
+  // any thread count must be cell-for-cell bit-identical to the one-worker,
+  // no-speculation run — including the adaptive round structure (max > min
+  // with a reachable precision target, so cells stop at different
+  // replication counts and speculative summaries get discarded).
   sim::SimulationConfig volatile_config = tiny_config(sched::PolicyKind::kRoundRobin, 6);
   volatile_config.grid =
       grid::GridConfig::preset(grid::Heterogeneity::kHet, grid::AvailabilityLevel::kLow);
@@ -415,19 +349,16 @@ TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
       {"rr", volatile_config}, {"fcfs", stable_config}, {"li", third_config}};
 
   struct Variant {
-    bool pipeline;
     std::size_t speculate;
     std::size_t threads;
-    std::size_t batch;
   };
   const Variant variants[] = {
-      {false, 0, 1, 0},  // barrier reference, single worker
-      {false, 0, 4, 0},  // barrier, parallel
-      {true, 0, 3, 0},   // pipelined, no speculation
-      {true, 1, 3, 0},   // default shape
-      {true, 4, 3, 0},   // deep speculation: discards must be silent
-      {true, 4, 1, 1},   // speculation + singleton chunks
-      {true, 4, 4, 3},   // speculation + batching + parallelism
+      {0, 1},  // reference: single worker, no speculation
+      {0, 3},  // no speculation, parallel
+      {1, 3},  // default shape
+      {4, 3},  // deep speculation: discards must be silent
+      {4, 1},  // deep speculation, single worker
+      {4, 4},  // deep speculation + parallelism
   };
 
   std::vector<std::vector<CellResult>> runs;
@@ -436,10 +367,8 @@ TEST(ExperimentRunner, PipelinedAndBarrierShapesAreBitIdentical) {
     options.min_replications = 2;
     options.max_replications = 4;
     options.target_relative_error = 0.08;
-    options.pipeline = variant.pipeline;
     options.speculate = variant.speculate;
     options.threads = variant.threads;
-    options.batch_size = variant.batch;
     runs.push_back(ExperimentRunner(options).run(cells));
   }
 
@@ -491,27 +420,12 @@ TEST(ExperimentRunner, ExecStatsAccountForEveryReplication) {
 }
 
 TEST(RunOptions, PipelineAndSpeculateEnvOverrides) {
-  EXPECT_TRUE(RunOptions::from_env().pipeline);     // default on
   EXPECT_EQ(RunOptions::from_env().speculate, 1u);  // default window
-  ::setenv("DGSCHED_PIPELINE", "0", 1);
   ::setenv("DGSCHED_SPECULATE", "4", 1);
-  const RunOptions options = RunOptions::from_env();
-  EXPECT_FALSE(options.pipeline);
-  EXPECT_EQ(options.speculate, 4u);
-  ::setenv("DGSCHED_PIPELINE", "1", 1);
+  EXPECT_EQ(RunOptions::from_env().speculate, 4u);
   ::setenv("DGSCHED_SPECULATE", "0", 1);
-  EXPECT_TRUE(RunOptions::from_env().pipeline);
   EXPECT_EQ(RunOptions::from_env().speculate, 0u);
-  ::unsetenv("DGSCHED_PIPELINE");
   ::unsetenv("DGSCHED_SPECULATE");
-}
-
-TEST(RunOptions, MalformedPipelineEnvFailsWithClearMessage) {
-  expect_env_rejected("DGSCHED_PIPELINE", "yes");
-  expect_env_rejected("DGSCHED_PIPELINE", "on");
-  expect_env_rejected("DGSCHED_SPECULATE", "-1");
-  expect_env_rejected("DGSCHED_SPECULATE", "2.5");
-  expect_env_rejected("DGSCHED_SPECULATE", "deep");
 }
 
 TEST(ExperimentRunner, RunnerQueueBackendOverrideMatchesDefault) {

@@ -390,13 +390,10 @@ TEST(CampaignJournal, CampaignSignatureBindsCellsAndPrecisionOptions) {
     EXPECT_NE(CampaignJournal::campaign_signature(cells, o), reference);
   }
   // Execution-shape options deliberately do NOT change the signature: a
-  // resumed campaign may use a different worker count or batch size.
+  // resumed campaign may use a different worker count or speculation window.
   {
     RunOptions o = options;
     o.threads = 7;
-    o.batch_size = 2;
-    o.reuse_workspaces = false;
-    o.pipeline = false;
     o.speculate = 4;
     o.journal_path = "elsewhere.journal";
     EXPECT_EQ(CampaignJournal::campaign_signature(cells, o), reference);
@@ -412,7 +409,6 @@ TEST(CampaignJournal, ResumeFromEveryRecordBoundaryIsByteIdentical) {
   JournalPath resume("runner_resume_cut");
   const std::vector<NamedConfig> cells = tiny_cells();
   RunOptions options = tiny_options();
-  options.batch_size = 1;
   options.threads = 1;
   options.journal_path = file.path;
   ExperimentRunner runner(options);
@@ -461,7 +457,6 @@ TEST(CampaignJournal, SpeculativeResumeFromEveryBoundaryIsByteIdentical) {
   JournalPath resume("runner_spec_cut");
   const std::vector<NamedConfig> cells = tiny_cells();
   RunOptions options = tiny_options();
-  options.batch_size = 1;
   options.speculate = 4;
   // A reachable precision target past min, so cells can stop early while the
   // deep speculation window has already launched (and run) extra
@@ -509,8 +504,8 @@ TEST(CampaignJournal, JournaledRunBitIdenticalToUnjournaledAcrossThreadCounts) {
 TEST(CampaignJournal, JournalBytesIdenticalAcrossExecutionShapes) {
   // The journal is written in the canonical order of exp/pipeline.hpp
   // regardless of how the campaign executed, so the file is byte-identical
-  // across thread counts and barrier/pipelined/speculative/batched
-  // scheduling, and journaling never changes the results.
+  // across thread counts and speculation windows, and journaling never
+  // changes the results.
   JournalPath file("runner_shapes");
   const std::vector<NamedConfig> cells = tiny_cells();
   RunOptions base = tiny_options();
@@ -519,25 +514,14 @@ TEST(CampaignJournal, JournalBytesIdenticalAcrossExecutionShapes) {
   base.target_relative_error = 1e-4;  // unreachable: multi-round structure
   const std::vector<CellResult> reference = ExperimentRunner(base).run(cells);
 
-  struct Shape {
-    const char* name;
-    bool pipeline;
-    std::size_t speculate;
-    std::size_t batch;
-  };
-  const Shape shapes[] = {
-      {"pipelined", true, 1, 0}, {"barrier", false, 0, 0}, {"spec0", true, 0, 0},
-      {"spec4", true, 4, 0},     {"batch1", true, 1, 1},
-  };
   std::vector<std::uint8_t> reference_journal;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const Shape& shape : shapes) {
-      SCOPED_TRACE(testing::Message() << shape.name << " @" << threads << " threads");
+    for (const std::size_t speculate : {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "speculate " << speculate << " @" << threads
+                                      << " threads");
       RunOptions options = base;
       options.threads = threads;
-      options.pipeline = shape.pipeline;
-      options.speculate = shape.speculate;
-      options.batch_size = shape.batch;
+      options.speculate = speculate;
       options.journal_path = file.path;
       std::filesystem::remove(file.path);
       ExperimentRunner runner(options);
@@ -553,24 +537,19 @@ TEST(CampaignJournal, JournalBytesIdenticalAcrossExecutionShapes) {
     }
   }
 
-  // Cross-shape resume: the journal cut at a mid-campaign record boundary
-  // and resumed by a barrier-mode run — the recovered prefix folds in, the
-  // remainder is dispatched barrier-style, and both the results and the
-  // final journal bytes still match.
-  std::filesystem::remove(file.path);
-  {
-    std::ofstream out(file.path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(reference_journal.data()),
-              static_cast<std::streamsize>(reference_journal.size()));
-  }
+  // Cross-shape resume: the last run's journal (4 threads, speculation 4)
+  // cut at a mid-campaign record boundary and resumed by a single worker
+  // without speculation — the recovered prefix folds in, the remainder is
+  // dispatched one job at a time, and both the results and the final
+  // journal bytes still match.
+  const std::vector<std::uint8_t> four_thread_journal = file_bytes(file.path);
   const std::vector<std::uintmax_t> boundaries = record_boundaries(file.path);
   ASSERT_GE(boundaries.size(), 4u);
   const std::size_t k = boundaries.size() / 2;
-  RunOptions barrier = base;
-  barrier.pipeline = false;
-  barrier.speculate = 0;
-  barrier.threads = 2;
-  expect_resume_matches(cells, barrier, reference, reference_journal, file.path, boundaries[k],
+  RunOptions serial = base;
+  serial.speculate = 0;
+  serial.threads = 1;
+  expect_resume_matches(cells, serial, reference, four_thread_journal, file.path, boundaries[k],
                         k);
 }
 
